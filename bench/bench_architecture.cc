@@ -126,11 +126,11 @@ BENCHMARK(BM_BatchSizeSweep)->Arg(1)->Arg(64)->Arg(1024)->Arg(4096)
 // Experiment F1b': the filter-heavy companion of the batch-size sweep,
 // aimed at the selection-pushdown machinery. A selective conjunction of
 // simple comparisons sits directly over the scan, so every conjunct pushes
-// into the leaf (Table::ScanBatchedFiltered): rows failing the predicates
-// are never materialized, survivors flow to the projection as a selection
+// into the leaf (ScanSpec::predicates): rows failing the predicates are
+// never materialized, survivors flow to the projection as a selection
 // vector with no compaction in between, and the projection's arithmetic
-// runs through the fused EvalBatchSel kernels. The counter reports source
-// rows per second (the scan still inspects every stored row).
+// runs through FusedExpr over the columns. The counter reports source rows
+// per second (the scan still inspects every stored row).
 void BM_FilterPushdownSweep(benchmark::State& state) {
   constexpr int kRows = 100000;
   SchemaPtr schema = bench::MakeSalesSchema(kRows, 50);
@@ -259,8 +259,6 @@ void BM_IndexScanVsFullScan(benchmark::State& state) {
   const int64_t selectivity_bp = state.range(0);  // basis points (1/10000)
   const bool use_index = state.range(1) != 0;
   const int64_t span = std::max<int64_t>(1, kRows * selectivity_bp / 10000);
-  table->set_index_scan_enabled(use_index);
-
   ScanPredicate lo;
   lo.kind = ScanPredicate::Kind::kGreaterThanOrEqual;
   lo.column = 0;
@@ -270,9 +268,13 @@ void BM_IndexScanVsFullScan(benchmark::State& state) {
   hi.column = 0;
   hi.literal = Value::Int(kRows / 2 + span);
 
+  ScanSpec spec;
+  spec.batch_size = 1024;
+  spec.predicates = {lo, hi};
+  spec.access_path = use_index ? AccessPath::kForceIndex : AccessPath::kForceHeap;
   int64_t result_rows = 0;
   for (auto _ : state) {
-    auto puller = table->ScanBatchedFiltered(1024, {lo, hi});
+    auto puller = table->OpenScan(spec);
     if (!puller.ok()) {
       state.SkipWithError("scan failed");
       return;
@@ -288,7 +290,6 @@ void BM_IndexScanVsFullScan(benchmark::State& state) {
       benchmark::DoNotOptimize(batch.value());
     }
   }
-  table->set_index_scan_enabled(true);
   state.counters["rows_per_sec"] = benchmark::Counter(
       static_cast<double>(result_rows), benchmark::Counter::kIsRate);
 }

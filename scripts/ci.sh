@@ -5,8 +5,7 @@
 #   scripts/ci.sh build-tsan thread
 #                                 # ThreadSanitizer build; runs the
 #                                 # concurrency-focused tests (the morsel-driven
-#                                 # parallel executor and the linq exchange
-#                                 # combinator) race-checked
+#                                 # parallel executor) race-checked
 #   scripts/ci.sh build-asan address,undefined
 #                                 # ASan+UBSan build; runs the batch-engine,
 #                                 # parity, and expression-kernel fuzz suites —
@@ -38,7 +37,7 @@ if [[ "$SANITIZER" == "scalar" ]]; then
   # reference and ScopedDispatch(true) is a no-op, so the differential
   # suites prove the portable path alone produces the oracle results.
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
-    -R 'simd_kernels_test|rex_kernel_fuzz_test|rex_fuse_test|batch_parity_test|columnar_parity_test|row_batch_test'
+    -R 'simd_kernels_test|rex_kernel_fuzz_test|rex_fuse_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|row_batch_test'
 
   echo "=== done (scalar) ==="
   exit 0
@@ -88,13 +87,17 @@ if [[ -n "$SANITIZER" ]]; then
   # (TSan). The fuzz differential itself runs under TSan as well — it is
   # single-threaded, but flipping the runtime dispatch flag while fused
   # programs cache compiled state is exactly where an unsynchronized
-  # shared-program mutation would surface. alloc_count_test is excluded
+  # shared-program mutation would surface. The rows->columns leaf suite
+  # (columnar_leaf_test) runs under both: RowsToColumns points StringRefs
+  # into the source rows it pins (ASan catches a batch outliving its pin),
+  # and its DiskTable case drives 4 paged morsel workers that convert,
+  # filter and box rows over a 16-page pool (TSan). alloc_count_test is excluded
   # everywhere: it overrides global
   # operator new, which fights the sanitizer allocators.
   if [[ "$SANITIZER" == *thread* ]]; then
-    FILTER='parallel_exec_test|linq_batch_test|batch_parity_test|columnar_parity_test|rex_fuse_test|rex_kernel_fuzz_test|storage_test|stats_test'
+    FILTER='parallel_exec_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|rex_fuse_test|rex_kernel_fuzz_test|storage_test|stats_test'
   else
-    FILTER='row_batch_test|rex_kernel_fuzz_test|rex_fuse_test|simd_kernels_test|batch_parity_test|linq_batch_test|parallel_exec_test|columnar_parity_test|storage_test|stats_test'
+    FILTER='row_batch_test|rex_kernel_fuzz_test|rex_fuse_test|simd_kernels_test|batch_parity_test|parallel_exec_test|columnar_parity_test|columnar_leaf_test|storage_test|stats_test'
   fi
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
     -R "$FILTER"

@@ -19,15 +19,17 @@
 
 namespace calcite {
 
-// The operators below execute as vectorized pull pipelines: ExecuteBatched
-// wires a chain of RowBatchPullers that exchange RowBatch chunks, so the
-// per-call closure dispatch the old row-at-a-time discipline paid on every
-// tuple is amortized over a whole batch (filters hand selection vectors to
-// their consumer instead of compacting — see ExecuteSelBatched — and the
-// hash operators probe a batch per dispatch).
-// Execute() is the materializing wrapper over the same pipeline, so there is
-// a single implementation of each operator's semantics; `batch_size = 1`
-// reproduces the old row-at-a-time behavior exactly (see the parity tests).
+// The operators below execute as vectorized pull pipelines. Operators that
+// evaluate expressions (filter, project, hash-join probe, hash aggregate)
+// consume ColumnBatches: their input's native columnar pipeline when it has
+// one, else its RowBatches through the one rows->columns leaf
+// (RowsToColumnsPuller). Every expression therefore runs through FusedExpr,
+// which falls back to the per-node RexColumnar kernels and then to per-row
+// RexInterpreter::Eval. Operators that evaluate no expressions (sort,
+// nested-loop join, set ops, values, window, the multi-key aggregate)
+// exchange dense RowBatches through ExecuteBatched. Execute() is the
+// materializing wrapper over the same pipeline; `batch_size = 1` reproduces
+// row-at-a-time behavior exactly (see the parity tests).
 
 namespace {
 
@@ -61,15 +63,8 @@ size_t NormalizedBatchSize(const ExecOptions& opts) {
   return opts.batch_size == 0 ? 1 : opts.batch_size;
 }
 
-/// Gate for the columnar fast path. The morsel-parallel executor has its own
-/// columnar pipeline (checked before any serial path), so the serial
-/// columnar operators only engage for single-threaded execution.
-bool ColumnarEnabled(const ExecOptions& opts) {
-  return opts.enable_columnar && opts.num_threads <= 1;
-}
-
 /// Bridges a columnar pipeline back to dense RowBatches (the conversion
-/// boundary for row-path consumers: sort, set ops, QueryResult).
+/// boundary for row consumers: sort, set ops, QueryResult).
 RowBatchPuller ColumnarToRowPuller(RelNodePtr self, ColumnBatchPuller pull) {
   return RowBatchPuller([self, pull]() -> Result<RowBatch> {
     auto batch = pull();
@@ -78,6 +73,54 @@ RowBatchPuller ColumnarToRowPuller(RelNodePtr self, ColumnBatchPuller pull) {
     ColumnsToRows(batch.value(), &out);
     return out;
   });
+}
+
+/// The columnar view of `node`'s output: its native columnar pipeline when
+/// it has one, else its row batches through the rows->columns leaf, which
+/// decomposes only the columns `reads` names (all when empty).
+Result<ColumnBatchPuller> ColumnarInput(const RelNode& node,
+                                        const ExecOptions& opts,
+                                        ColumnMask reads = {}) {
+  if (auto native = node.TryExecuteColumnar(opts)) return std::move(*native);
+  auto rows = node.ExecuteBatched(opts);
+  if (!rows.ok()) return rows.status();
+  return RowsToColumnsPuller(std::move(rows).value(), node.row_type(),
+                             std::move(reads));
+}
+
+/// A mask over `node`'s output columns with `columns` set.
+ColumnMask ReadMask(const RelNode& node, const std::vector<int>& columns) {
+  ColumnMask mask(node.row_type()->fields().size(), false);
+  for (int c : columns) {
+    if (c >= 0 && static_cast<size_t>(c) < mask.size()) mask[c] = true;
+  }
+  return mask;
+}
+
+/// The columnar leaf of a filter over `scan` with `pushed` conjuncts: typed
+/// loops over the table's columnar cache when it has one, else the
+/// table's own OpenScan (which applies the pushed predicates and the
+/// access path — index or heap — before rows exist) through RowsToColumns.
+Result<ColumnBatchPuller> OpenScanLeaf(const TableScan& scan,
+                                       ScanPredicateList pushed,
+                                       const ExecOptions& opts) {
+  TypeFactory type_factory;
+  if (TableColumnsPtr columns = scan.table()->MaterializedColumns(type_factory)) {
+    return ScanTableColumns(std::move(columns), NormalizedBatchSize(opts),
+                            std::move(pushed), scan.shared_from_this(),
+                            opts.enable_fusion);
+  }
+  ScanSpec spec;
+  spec.batch_size = NormalizedBatchSize(opts);
+  spec.predicates = std::move(pushed);
+  spec.access_path = opts.access_path;
+  auto puller = scan.table()->OpenScan(spec);
+  if (!puller.ok()) return puller.status();
+  // The table's puller may capture a raw `this`; the closure pins the table.
+  TablePtr table = scan.table();
+  RowBatchPuller rows = std::move(puller).value();
+  return RowsToColumnsPuller(
+      [table, rows]() -> Result<RowBatch> { return rows(); }, scan.row_type());
 }
 
 /// Materializes a node's full output through its batch pipeline.
@@ -102,40 +145,18 @@ std::optional<Row> JoinSideKey(const Row& row,
   return key;
 }
 
-Status ApplyProjectToSelBatch(const std::vector<RexNodePtr>& exprs,
-                              SelBatch* batch) {
-  // Evaluate each projection over the live rows only (one column per
-  // expression, one entry per selected row), then write the columns back
-  // into the batch's leading rows, which the caller owns — reusing their
-  // allocations instead of materializing a fresh Row per output row. All
-  // columns are computed before any row is overwritten, so input refs
-  // never read a clobbered value; because output row k overwrites input
-  // row k (<= the k-th selected index), projection compacts the batch as a
-  // side effect.
-  const SelectionVector* sel = batch->has_sel ? &batch->sel : nullptr;
-  const size_t n_out = batch->ActiveCount();
-  std::vector<std::vector<Value>> columns(exprs.size());
-  for (size_t e = 0; e < exprs.size(); ++e) {
-    CALCITE_RETURN_IF_ERROR(
-        RexInterpreter::EvalBatchSel(exprs[e], batch->rows, sel, &columns[e]));
-  }
-  for (size_t i = 0; i < n_out; ++i) {
-    Row& row = batch->rows[i];
-    row.resize(exprs.size());
-    for (size_t e = 0; e < exprs.size(); ++e) {
-      row[e] = std::move(columns[e][i]);
-    }
-  }
-  batch->rows.resize(n_out);
-  batch->sel.clear();
-  batch->has_sel = false;
-  return Status::OK();
-}
-
 Row ConcatRows(const Row& left, const Row& right) {
   Row out;
   out.reserve(left.size() + right.size());
   out.insert(out.end(), left.begin(), left.end());
+  out.insert(out.end(), right.begin(), right.end());
+  return out;
+}
+
+Row ConcatRows(const ColumnBatch& left, size_t row, const Row& right) {
+  Row out;
+  out.reserve(left.cols.size() + right.size());
+  left.AppendRow(row, &out);
   out.insert(out.end(), right.begin(), right.end());
   return out;
 }
@@ -192,7 +213,6 @@ Result<RowBatchPuller> EnumerableTableScan::ExecuteBatched(
 
 std::optional<Result<ColumnBatchPuller>>
 EnumerableTableScan::TryExecuteColumnar(const ExecOptions& opts) const {
-  if (!ColumnarEnabled(opts)) return std::nullopt;
   TypeFactory type_factory;
   TableColumnsPtr columns = table_->MaterializedColumns(type_factory);
   if (columns == nullptr) return std::nullopt;
@@ -227,117 +247,37 @@ Result<std::vector<Row>> EnumerableFilter::Execute() const {
 
 Result<RowBatchPuller> EnumerableFilter::ExecuteBatched(
     const ExecOptions& opts) const {
-  // Compacting bridge over the native selection-aware pipeline (which also
-  // owns the parallel dispatch), for consumers that need dense batches.
-  auto sel = ExecuteSelBatched(opts);
-  if (!sel.ok()) return sel.status();
-  return CompactSelBatches(std::move(sel).value());
-}
-
-Result<SelBatchPuller> EnumerableFilter::ExecuteSelBatched(
-    const ExecOptions& opts) const {
   if (auto parallel = TryExecuteParallel(*this, opts)) {
-    if (!parallel->ok()) return parallel->status();
-    return LiftToSelBatches(std::move(*parallel).value());
+    return std::move(*parallel);
   }
-  if (auto columnar = TryExecuteColumnar(opts)) {
-    // Row-path consumer above a columnar filter: survivors are boxed into
-    // dense batches at this boundary (the selection was already applied on
-    // raw column storage).
-    if (!columnar->ok()) return columnar->status();
-    ColumnBatchPuller pull = std::move(*columnar).value();
-    return LiftToSelBatches(
-        ColumnarToRowPuller(shared_from_this(), std::move(pull)));
-  }
-  RelNodePtr self = shared_from_this();  // keeps condition_ / the scan alive
-
-  // Leaf pushdown: when the input is an enumerable table scan, the simple
-  // conjuncts of the condition run inside the scan, before rows are
-  // materialized; only the residual conjuncts are evaluated here, and only
-  // against the survivors.
-  std::vector<RexNodePtr> residual;
-  SelBatchPuller pull;
-  const auto* scan = dynamic_cast<const EnumerableTableScan*>(input(0).get());
-  ScanPredicateList pushed;
-  if (scan != nullptr) {
-    ExtractScanPredicates(
-        condition_, static_cast<int>(scan->row_type()->fields().size()),
-        &pushed, &residual);
-  }
-  if (!pushed.empty()) {
-    ScanSpec spec;
-    spec.batch_size = NormalizedBatchSize(opts);
-    spec.predicates = std::move(pushed);
-    spec.access_path = opts.access_path;
-    auto puller = scan->table()->OpenScan(spec);
-    if (!puller.ok()) return puller.status();
-    // Pin the table for the lifetime of the pipeline (its puller may
-    // capture a raw `this`), mirroring EnumerableTableScan::ExecuteBatched.
-    TablePtr table = scan->table();
-    RowBatchPuller raw = std::move(puller).value();
-    pull = LiftToSelBatches(
-        RowBatchPuller([table, raw]() -> Result<RowBatch> { return raw(); }));
-  } else {
-    residual.assign(1, condition_);
-    auto in = input(0)->ExecuteSelBatched(opts);
-    if (!in.ok()) return in.status();
-    pull = std::move(in).value();
-  }
-
-  auto conjuncts =
-      std::make_shared<std::vector<RexNodePtr>>(std::move(residual));
-  return SelBatchPuller([self, conjuncts, pull]() -> Result<SelBatch> {
-    for (;;) {
-      auto batch = pull();
-      if (!batch.ok()) return batch;
-      SelBatch sel_batch = std::move(batch).value();
-      if (sel_batch.AtEnd()) return sel_batch;
-      if (!conjuncts->empty()) {
-        sel_batch.EnsureSelection();
-        for (const RexNodePtr& pred : *conjuncts) {
-          if (sel_batch.sel.empty()) break;
-          CALCITE_RETURN_IF_ERROR(RexInterpreter::NarrowSelection(
-              pred, sel_batch.rows, &sel_batch.sel));
-        }
-      }
-      // Whole batch eliminated: keep pulling (mid-stream batches always
-      // carry at least one live row).
-      if (sel_batch.ActiveCount() == 0) continue;
-      return sel_batch;
-    }
-  });
+  // Row consumer above the filter: survivors are boxed into dense batches
+  // here, once (the selection was applied on the columns).
+  auto columnar = *TryExecuteColumnar(opts);
+  if (!columnar.ok()) return columnar.status();
+  return ColumnarToRowPuller(shared_from_this(), std::move(columnar).value());
 }
 
 std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
     const ExecOptions& opts) const {
-  if (!ColumnarEnabled(opts)) return std::nullopt;
   RelNodePtr self = shared_from_this();
-  const size_t batch_size = NormalizedBatchSize(opts);
 
-  // Mirror of the row path's pushdown split: simple conjuncts run inside
-  // the columnar leaf scan (typed loops over the table's raw column
-  // storage), the residual narrows the selection via the columnar kernels.
+  // Leaf pushdown: over a table scan, the simple conjuncts run inside the
+  // scan (typed loops over raw column storage, or the table's own
+  // predicate/access-path machinery), and only the residual narrows the
+  // selection here.
   std::vector<RexNodePtr> residual;
-  ColumnBatchPuller pull;
+  ScanPredicateList pushed;
   const auto* scan = dynamic_cast<const EnumerableTableScan*>(input(0).get());
   if (scan != nullptr) {
-    TypeFactory type_factory;
-    TableColumnsPtr columns = scan->table()->MaterializedColumns(type_factory);
-    if (columns == nullptr) return std::nullopt;
-    ScanPredicateList pushed;
     ExtractScanPredicates(
         condition_, static_cast<int>(scan->row_type()->fields().size()),
         &pushed, &residual);
-    if (pushed.empty()) residual.assign(1, condition_);
-    pull = ScanTableColumns(std::move(columns), batch_size, std::move(pushed),
-                            self, opts.enable_fusion);
-  } else {
-    auto in = input(0)->TryExecuteColumnar(opts);
-    if (!in.has_value()) return std::nullopt;
-    if (!in->ok()) return in;
-    residual.assign(1, condition_);
-    pull = std::move(*in).value();
   }
+  if (pushed.empty()) residual.assign(1, condition_);
+  auto in = scan != nullptr ? OpenScanLeaf(*scan, std::move(pushed), opts)
+                            : ColumnarInput(*input(0), opts);
+  if (!in.ok()) return in;
+  ColumnBatchPuller pull = std::move(in).value();
 
   // Residual conjuncts narrow through FusedExpr: whole-tree bytecode
   // programs where the predicate lowers (rex/rex_fuse.h), the per-node
@@ -373,6 +313,8 @@ std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
                   pred.NarrowSelection(cols, scratch, &cols.sel));
             }
           }
+          // Whole batch eliminated: keep pulling (mid-stream batches always
+          // carry at least one live row).
           if (cols.ActiveCount() == 0) continue;
           return cols;
         }
@@ -404,39 +346,23 @@ Result<RowBatchPuller> EnumerableProject::ExecuteBatched(
   if (auto parallel = TryExecuteParallel(*this, opts)) {
     return std::move(*parallel);
   }
-  if (auto columnar = TryExecuteColumnar(opts)) {
-    // The projected columns are boxed into rows only here, at the top of
-    // the columnar pipeline.
-    if (!columnar->ok()) return columnar->status();
-    return ColumnarToRowPuller(shared_from_this(),
-                               std::move(*columnar).value());
-  }
-  // Selection-aware consumer: a filter below hands over its selection
-  // vector and the projection evaluates only the live rows, compacting as
-  // it writes — the compaction the filter skipped happens here for free.
-  auto in = input(0)->ExecuteSelBatched(opts);
-  if (!in.ok()) return in.status();
-  RelNodePtr self = shared_from_this();  // pins exprs_ for the pipeline
-  const EnumerableProject* node = this;
-  SelBatchPuller pull = std::move(in).value();
-  return RowBatchPuller([self, node, pull]() -> Result<RowBatch> {
-    auto batch = pull();
-    if (!batch.ok()) return batch.status();
-    SelBatch rows = std::move(batch).value();
-    if (rows.AtEnd()) return std::move(rows.rows);
-    CALCITE_RETURN_IF_ERROR(ApplyProjectToSelBatch(node->exprs_, &rows));
-    return std::move(rows.rows);
-  });
+  // The projected columns are boxed into rows only here, at the top of the
+  // columnar pipeline.
+  auto columnar = *TryExecuteColumnar(opts);
+  if (!columnar.ok()) return columnar.status();
+  return ColumnarToRowPuller(shared_from_this(), std::move(columnar).value());
 }
 
 std::optional<Result<ColumnBatchPuller>> EnumerableProject::TryExecuteColumnar(
     const ExecOptions& opts) const {
-  if (!ColumnarEnabled(opts)) return std::nullopt;
-  auto in = input(0)->TryExecuteColumnar(opts);
-  if (!in.has_value()) return std::nullopt;
-  if (!in->ok()) return in;
+  std::vector<int> refs;
+  for (const RexNodePtr& expr : exprs_) {
+    for (int ref : RexUtil::InputRefs(expr)) refs.push_back(ref);
+  }
+  auto in = ColumnarInput(*input(0), opts, ReadMask(*input(0), refs));
+  if (!in.ok()) return in;
   RelNodePtr self = shared_from_this();  // pins exprs_ for the pipeline
-  ColumnBatchPuller pull = std::move(*in).value();
+  ColumnBatchPuller pull = std::move(in).value();
   // Projection exprs evaluate through FusedExpr: whole-tree bytecode where
   // the expression lowers, per-node kernels otherwise (single-consumer
   // puller, so one FusedExpr per expression is safe).
@@ -555,24 +481,6 @@ bool JoinEmitsCombinedRows(JoinType join_type) {
   return false;
 }
 
-void JoinEmitPerLeftRow(JoinType join_type, bool matched, Row&& lrow,
-                        size_t right_width, RowBatch* out) {
-  switch (join_type) {
-    case JoinType::kLeft:
-    case JoinType::kFull:
-      if (!matched) out->push_back(PadNullRight(lrow, right_width));
-      break;
-    case JoinType::kSemi:
-      if (matched) out->push_back(std::move(lrow));
-      break;
-    case JoinType::kAnti:
-      if (!matched) out->push_back(std::move(lrow));
-      break;
-    default:
-      break;
-  }
-}
-
 namespace {
 
 /// The next batch of NULL-padded unmatched build rows (RIGHT/FULL OUTER),
@@ -617,140 +525,29 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
   auto state = std::make_shared<JoinExecState>();
   RowBatchPuller right_pull = std::move(right).value();
 
-  // Columnar probe: when the probe side runs columnar, the join key is read
-  // straight off the raw columns and the full left row is boxed lazily —
-  // only probe rows that actually emit output pay the row gather.
-  if (auto left_columnar = input(0)->TryExecuteColumnar(opts)) {
-    if (!left_columnar->ok()) return left_columnar->status();
-    ColumnBatchPuller left_pull = std::move(*left_columnar).value();
-    return RowBatchPuller([self, keys, remaining, state, left_pull,
-                           right_pull, join_type, left_width, right_width,
-                           batch_size]() -> Result<RowBatch> {
-      if (!state->built) {
-        CALCITE_RETURN_IF_ERROR(DrainRightSide(right_pull, state.get()));
-        for (size_t i = 0; i < state->right_data.size(); ++i) {
-          auto key =
-              JoinSideKey(state->right_data[i], *keys, /*left_side=*/false);
-          if (key.has_value()) {
-            state->table[std::move(*key)].push_back(i);
-          }
-        }
-        state->built = true;
-      }
-      if (!state->pending.empty()) {
-        return FlushPending(state.get(), batch_size);
-      }
-
-      auto residual_passes = [&](const Row& combined) -> Result<bool> {
-        for (const RexNodePtr& pred : *remaining) {
-          auto pass = RexInterpreter::EvalPredicate(pred, combined);
-          if (!pass.ok()) return pass;
-          if (!pass.value()) return false;
-        }
-        return true;
-      };
-
-      while (!state->left_done) {
-        auto batch = left_pull();
-        if (!batch.ok()) return batch.status();
-        ColumnBatch cols = std::move(batch).value();
-        if (cols.AtEnd()) {
-          state->left_done = true;
-          break;
-        }
-        RowBatch& out = state->pending;
-        const size_t active = cols.ActiveCount();
-        Row probe_key;  // reused across the batch
-        for (size_t k = 0; k < active; ++k) {
-          const size_t i = cols.ActiveIndex(k);
-          probe_key.clear();
-          bool null_key = false;
-          for (const auto& [l, r] : *keys) {
-            (void)r;
-            const ColumnVector& c = cols.cols[static_cast<size_t>(l)];
-            if (c.IsNullAt(i)) {
-              null_key = true;  // NULL keys never match
-              break;
-            }
-            probe_key.push_back(c.GetValue(i));
-          }
-          bool matched = false;
-          Row lrow;
-          bool have_lrow = false;
-          auto lrow_ref = [&]() -> Row& {
-            if (!have_lrow) {
-              lrow = cols.GatherRow(i);
-              have_lrow = true;
-            }
-            return lrow;
-          };
-          if (!null_key) {
-            auto it = state->table.find(probe_key);
-            if (it != state->table.end()) {
-              for (size_t ri : it->second) {
-                Row combined = ConcatRows(lrow_ref(), state->right_data[ri]);
-                auto pass = residual_passes(combined);
-                if (!pass.ok()) return pass.status();
-                if (!pass.value()) continue;
-                matched = true;
-                state->right_matched[ri] = true;
-                if (JoinEmitsCombinedRows(join_type)) {
-                  out.push_back(std::move(combined));
-                }
-                if (join_type == JoinType::kSemi) break;
-              }
-            }
-          }
-          switch (join_type) {
-            case JoinType::kLeft:
-            case JoinType::kFull:
-              if (!matched) {
-                out.push_back(PadNullRight(lrow_ref(), right_width));
-              }
-              break;
-            case JoinType::kSemi:
-              if (matched) out.push_back(std::move(lrow_ref()));
-              break;
-            case JoinType::kAnti:
-              if (!matched) out.push_back(std::move(lrow_ref()));
-              break;
-            default:
-              break;  // inner/right need no per-left-row emission
-          }
-        }
-        if (!out.empty()) return FlushPending(state.get(), batch_size);
-      }
-
-      RowBatch out =
-          EmitUnmatchedRight(join_type, state.get(), left_width, batch_size);
-      if (!out.empty()) return out;
-      return RowBatch{};
-    });
-  }
-
-  // The probe side pulls selection-aware batches: a filter below the probe
-  // input hands over its selection and only live rows are probed, without
-  // an intermediate compaction. The build side needs every row anyway, so
-  // it drains through the compacting protocol.
-  auto left = input(0)->ExecuteSelBatched(opts);
+  // Columnar probe: the join key is read straight off the raw columns and
+  // the full left row is boxed lazily — only probe rows that actually emit
+  // output pay the row gather.
+  std::vector<int> left_keys;
+  for (const auto& key : *keys) left_keys.push_back(key.first);
+  auto left = ColumnarInput(*input(0), opts, ReadMask(*input(0), left_keys));
   if (!left.ok()) return left.status();
-  SelBatchPuller left_pull = std::move(left).value();
+  ColumnBatchPuller left_pull = std::move(left).value();
 
-  return RowBatchPuller([self, keys, remaining, state, left_pull, right_pull,
-                         join_type, left_width, right_width,
+  return RowBatchPuller([self, keys, remaining, state, left_pull,
+                         right_pull, join_type, left_width, right_width,
                          batch_size]() -> Result<RowBatch> {
     if (!state->built) {
-      // Build phase: hash the right side on its key columns.
       CALCITE_RETURN_IF_ERROR(DrainRightSide(right_pull, state.get()));
       for (size_t i = 0; i < state->right_data.size(); ++i) {
-        auto key = JoinSideKey(state->right_data[i], *keys, /*left_side=*/false);
+        auto key =
+            JoinSideKey(state->right_data[i], *keys, /*left_side=*/false);
         if (key.has_value()) {
           state->table[std::move(*key)].push_back(i);
         }
       }
       state->built = true;
     }
-
     if (!state->pending.empty()) {
       return FlushPending(state.get(), batch_size);
     }
@@ -764,26 +561,45 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
       return true;
     };
 
-    // Probe phase: a whole left batch per dispatch.
     while (!state->left_done) {
       auto batch = left_pull();
       if (!batch.ok()) return batch.status();
-      SelBatch left_rows = std::move(batch).value();
-      if (left_rows.AtEnd()) {
+      ColumnBatch cols = std::move(batch).value();
+      if (cols.AtEnd()) {
         state->left_done = true;
         break;
       }
       RowBatch& out = state->pending;
-      const size_t active = left_rows.ActiveCount();
+      const size_t active = cols.ActiveCount();
+      Row probe_key;  // reused across the batch
       for (size_t k = 0; k < active; ++k) {
-        Row& lrow = left_rows.ActiveRow(k);
-        auto key = JoinSideKey(lrow, *keys, /*left_side=*/true);
+        const size_t i = cols.ActiveIndex(k);
+        probe_key.clear();
+        bool null_key = false;
+        for (const auto& [l, r] : *keys) {
+          (void)r;
+          const ColumnVector& c = cols.cols[static_cast<size_t>(l)];
+          if (c.IsNullAt(i)) {
+            null_key = true;  // NULL keys never match
+            break;
+          }
+          probe_key.push_back(c.GetValue(i));
+        }
         bool matched = false;
-        if (key.has_value()) {
-          auto it = state->table.find(*key);
+        Row lrow;
+        bool have_lrow = false;
+        auto lrow_ref = [&]() -> Row& {
+          if (!have_lrow) {
+            lrow = cols.GatherRow(i);
+            have_lrow = true;
+          }
+          return lrow;
+        };
+        if (!null_key) {
+          auto it = state->table.find(probe_key);
           if (it != state->table.end()) {
             for (size_t ri : it->second) {
-              Row combined = ConcatRows(lrow, state->right_data[ri]);
+              Row combined = ConcatRows(cols, i, state->right_data[ri]);
               auto pass = residual_passes(combined);
               if (!pass.ok()) return pass.status();
               if (!pass.value()) continue;
@@ -796,7 +612,7 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
             }
           }
         }
-        JoinEmitPerLeftRow(join_type, matched, std::move(lrow), right_width, &out);
+        JoinEmitPerLeftRow(join_type, matched, lrow_ref, right_width, &out);
       }
       if (!out.empty()) return FlushPending(state.get(), batch_size);
     }
@@ -840,9 +656,8 @@ Result<std::vector<Row>> EnumerableNestedLoopJoin::Execute() const {
 
 Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
     const ExecOptions& opts) const {
-  // Probe side is selection-aware, like the hash join.
-  auto left = input(0)->ExecuteSelBatched(opts);
-  if (!left.ok()) return left.status();
+  auto left = input(0)->ExecuteBatched(opts);
+  if (!left.ok()) return left;
   auto right = input(1)->ExecuteBatched(opts);
   if (!right.ok()) return right;
 
@@ -853,7 +668,7 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
   const size_t right_width = input(1)->row_type()->fields().size();
   const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<JoinExecState>();
-  SelBatchPuller left_pull = std::move(left).value();
+  RowBatchPuller left_pull = std::move(left).value();
   RowBatchPuller right_pull = std::move(right).value();
 
   return RowBatchPuller([self, condition, state, left_pull, right_pull,
@@ -871,15 +686,13 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
     while (!state->left_done) {
       auto batch = left_pull();
       if (!batch.ok()) return batch.status();
-      SelBatch left_rows = std::move(batch).value();
-      if (left_rows.AtEnd()) {
+      RowBatch left_rows = std::move(batch).value();
+      if (left_rows.empty()) {
         state->left_done = true;
         break;
       }
       RowBatch& out = state->pending;
-      const size_t active = left_rows.ActiveCount();
-      for (size_t k = 0; k < active; ++k) {
-        Row& lrow = left_rows.ActiveRow(k);
+      for (Row& lrow : left_rows) {
         bool matched = false;
         for (size_t ri = 0; ri < state->right_data.size(); ++ri) {
           Row combined = ConcatRows(lrow, state->right_data[ri]);
@@ -893,7 +706,9 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
           }
           if (join_type == JoinType::kSemi) break;
         }
-        JoinEmitPerLeftRow(join_type, matched, std::move(lrow), right_width, &out);
+        JoinEmitPerLeftRow(
+            join_type, matched, [&]() -> Row& { return lrow; }, right_width,
+            &out);
       }
       if (!out.empty()) return FlushPending(state.get(), batch_size);
     }
@@ -929,14 +744,11 @@ Result<std::vector<Row>> EnumerableAggregate::Execute() const {
 
 namespace {
 
-/// Streaming hash-aggregate state: groups hold live accumulators instead of
-/// materialized row lists, fed a batch at a time. Single-column keys probe
-/// by Value directly (no per-row key allocation); wider keys go through the
-/// Row-keyed table.
+/// Streaming hash-aggregate state of the row path: groups hold live
+/// accumulators instead of materialized row lists, fed a batch at a time.
 struct HashAggState {
   bool built = false;
   std::unordered_map<Row, size_t, RowHash> group_index;
-  std::unordered_map<Value, size_t, ValueHash> single_index;
   std::vector<Row> group_keys_rows;
   std::vector<std::vector<AggAccumulator>> group_accs;
   size_t emit_pos = 0;
@@ -949,42 +761,46 @@ Result<RowBatchPuller> EnumerableAggregate::ExecuteBatched(
   if (auto parallel = TryExecuteParallel(*this, opts)) {
     return std::move(*parallel);
   }
-  // Columnar consumer: batches feed the typed accumulator adders straight
-  // from raw column storage — group-key probing and NULL skipping never box
-  // a cell unless the group key is genuinely new.
+  RelNodePtr self = shared_from_this();  // pins group_keys_ / agg_calls_
+  const size_t batch_size = NormalizedBatchSize(opts);
+  // Columnar consumer (global and single-key grouping): batches feed the
+  // typed accumulator adders straight from raw column storage — group-key
+  // probing and NULL skipping never box a cell unless the group key is
+  // genuinely new.
   if (auto builder = std::shared_ptr<ColumnarAggBuilder>(
           ColumnarAggBuilder::TryCreate(group_keys_, agg_calls_))) {
-    if (auto columnar = input(0)->TryExecuteColumnar(opts)) {
-      if (!columnar->ok()) return columnar->status();
-      ColumnBatchPuller pull = std::move(*columnar).value();
-      RelNodePtr self = shared_from_this();
-      const size_t batch_size = NormalizedBatchSize(opts);
-      auto built = std::make_shared<bool>(false);
-      return RowBatchPuller(
-          [self, builder, pull, built, batch_size]() -> Result<RowBatch> {
-            if (!*built) {
-              for (;;) {
-                auto batch = pull();
-                if (!batch.ok()) return batch.status();
-                const ColumnBatch& cols = batch.value();
-                if (cols.AtEnd()) break;
-                CALCITE_RETURN_IF_ERROR(builder->Feed(cols));
-              }
-              *built = true;
-            }
-            return builder->EmitBatch(batch_size);
-          });
+    std::vector<int> reads = group_keys_;
+    for (const AggregateCall& call : agg_calls_) {
+      reads.insert(reads.end(), call.args.begin(), call.args.end());
     }
+    auto columnar =
+        ColumnarInput(*input(0), opts, ReadMask(*input(0), reads));
+    if (!columnar.ok()) return columnar.status();
+    ColumnBatchPuller pull = std::move(columnar).value();
+    auto built = std::make_shared<bool>(false);
+    return RowBatchPuller(
+        [self, builder, pull, built, batch_size]() -> Result<RowBatch> {
+          if (!*built) {
+            for (;;) {
+              auto batch = pull();
+              if (!batch.ok()) return batch.status();
+              const ColumnBatch& cols = batch.value();
+              if (cols.AtEnd()) break;
+              CALCITE_RETURN_IF_ERROR(builder->Feed(cols));
+            }
+            *built = true;
+          }
+          return builder->EmitBatch(batch_size);
+        });
   }
-  // Selection-aware consumer: only the live rows of each input batch feed
-  // the accumulators, so a filter below never compacts.
-  auto in = input(0)->ExecuteSelBatched(opts);
-  if (!in.ok()) return in.status();
-  RelNodePtr self = shared_from_this();  // pins group_keys_ / agg_calls_
+  // Wider group keys: probe a Row-keyed table with each row of the dense
+  // input batches. The probe key is a scratch row reused across the whole
+  // batch; a fresh copy is only materialized when a new group is inserted.
+  auto in = input(0)->ExecuteBatched(opts);
+  if (!in.ok()) return in;
   const EnumerableAggregate* node = this;
-  const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<HashAggState>();
-  SelBatchPuller pull = std::move(in).value();
+  RowBatchPuller pull = std::move(in).value();
 
   return RowBatchPuller([self, node, state, pull,
                          batch_size]() -> Result<RowBatch> {
@@ -1000,51 +816,14 @@ Result<RowBatchPuller> EnumerableAggregate::ExecuteBatched(
         }
         state->group_accs.push_back(std::move(accs));
       };
+      Row scratch_key;
+      scratch_key.reserve(group_keys.size());
       for (;;) {
         auto batch = pull();
         if (!batch.ok()) return batch.status();
-        SelBatch rows = std::move(batch).value();
-        if (rows.AtEnd()) break;
-        const size_t active = rows.ActiveCount();
-        if (group_keys.empty()) {
-          // Global aggregate: the whole batch feeds one accumulator set —
-          // one AddBatchSel dispatch per accumulator per batch.
-          if (state->group_accs.empty()) new_group(Row{});
-          const SelectionVector* sel = rows.has_sel ? &rows.sel : nullptr;
-          for (AggAccumulator& acc : state->group_accs[0]) {
-            CALCITE_RETURN_IF_ERROR(acc.AddBatchSel(rows.rows, sel));
-          }
-          continue;
-        }
-        // Grouped: probe the hash table with each live row of the batch,
-        // preserving first-seen key order for deterministic output.
-        if (group_keys.size() == 1) {
-          const size_t k = static_cast<size_t>(group_keys[0]);
-          for (size_t i = 0; i < active; ++i) {
-            const Row& row = rows.ActiveRow(i);
-            const Value& key = row[k];
-            size_t group;
-            auto it = state->single_index.find(key);
-            if (it != state->single_index.end()) {
-              group = it->second;
-            } else {
-              group = state->group_accs.size();
-              state->single_index.emplace(key, group);
-              new_group(Row{key});
-            }
-            for (AggAccumulator& acc : state->group_accs[group]) {
-              CALCITE_RETURN_IF_ERROR(acc.Add(row));
-            }
-          }
-          continue;
-        }
-        // Wider keys: the probe key is a scratch row reused across the
-        // whole batch; a fresh copy is only materialized when a new group
-        // is inserted.
-        Row scratch_key;
-        scratch_key.reserve(group_keys.size());
-        for (size_t i = 0; i < active; ++i) {
-          const Row& row = rows.ActiveRow(i);
+        if (batch.value().empty()) break;
+        // First-seen key order keeps the output deterministic.
+        for (const Row& row : batch.value()) {
           scratch_key.clear();
           for (int k : group_keys) {
             scratch_key.push_back(row[static_cast<size_t>(k)]);
@@ -1118,17 +897,15 @@ struct SortState {
 
 Result<RowBatchPuller> EnumerableSort::ExecuteBatched(
     const ExecOptions& opts) const {
-  // Selection-aware consumer: only live rows are spilled into the sort
-  // buffer, so a filter below never compacts.
-  auto in = input(0)->ExecuteSelBatched(opts);
-  if (!in.ok()) return in.status();
+  auto in = input(0)->ExecuteBatched(opts);
+  if (!in.ok()) return in;
   RelNodePtr self = shared_from_this();  // pins collation_
   const EnumerableSort* node = this;
   const int64_t offset = offset_;
   const int64_t fetch = fetch_;
   const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<SortState>();
-  SelBatchPuller pull = std::move(in).value();
+  RowBatchPuller pull = std::move(in).value();
 
   return RowBatchPuller([self, node, offset, fetch, state, pull,
                          batch_size]() -> Result<RowBatch> {
@@ -1137,12 +914,8 @@ Result<RowBatchPuller> EnumerableSort::ExecuteBatched(
       for (;;) {
         auto batch = pull();
         if (!batch.ok()) return batch.status();
-        SelBatch rows = std::move(batch).value();
-        if (rows.AtEnd()) break;
-        const size_t active = rows.ActiveCount();
-        for (size_t k = 0; k < active; ++k) {
-          state->data.push_back(std::move(rows.ActiveRow(k)));
-        }
+        if (batch.value().empty()) break;
+        for (Row& row : batch.value()) state->data.push_back(std::move(row));
       }
       if (!collation.empty()) {
         std::stable_sort(state->data.begin(), state->data.end(),

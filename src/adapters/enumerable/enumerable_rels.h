@@ -36,13 +36,11 @@ class EnumerableTableScan final : public TableScan {
   using TableScan::TableScan;
 };
 
-/// Filter with selection-vector pushdown: its native surface is
-/// ExecuteSelBatched, which narrows each input batch's selection vector
-/// instead of compacting it, and — when the input is a table scan — splits
-/// the condition so that simple `column <op> literal` / NULL-test conjuncts
-/// run inside the leaf scan before rows are materialized
-/// (Table::ScanBatchedFiltered). ExecuteBatched is the compacting bridge
-/// for consumers that need dense batches.
+/// Filter over ColumnBatches: when the input is a table scan, the simple
+/// `column <op> literal` / NULL-test conjuncts run inside the leaf scan
+/// before rows are materialized (ScanSpec::predicates), and the residual
+/// narrows each batch's selection vector through FusedExpr.
+/// ExecuteBatched boxes the survivors for row consumers.
 class EnumerableFilter final : public Filter {
  public:
   static RelNodePtr Create(RelNodePtr input, RexNodePtr condition);
@@ -53,12 +51,9 @@ class EnumerableFilter final : public Filter {
   Result<std::vector<Row>> Execute() const override;
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
-  Result<SelBatchPuller> ExecuteSelBatched(const ExecOptions& opts)
-      const override;
-  /// Columnar filter: pushes simple conjuncts into the columnar leaf scan
-  /// (typed loops over raw column storage) and narrows each batch's
-  /// selection vector with the columnar kernels for the residual — rows are
-  /// never materialized, only the selection shrinks.
+  /// The filter's native pipeline: pushes simple conjuncts into the leaf
+  /// scan and narrows each batch's selection vector for the residual —
+  /// only the selection shrinks. Always returns a puller.
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const override;
 
@@ -78,9 +73,9 @@ class EnumerableProject final : public Project {
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
   /// Columnar projection: each expression becomes one dense output column
-  /// computed by a fused typed kernel over the input's active rows
-  /// (RexColumnar::AppendEvalColumn); input columns referenced verbatim are
-  /// aliased, not copied, when no selection is in play.
+  /// computed by FusedExpr over the input's active rows; input columns
+  /// referenced verbatim are aliased, not copied, when no selection is in
+  /// play. Always returns a puller.
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const override;
 
@@ -235,20 +230,11 @@ class EnumerableInterpreter final : public Converter {
 /// Builds the concatenated row of a join result (left fields then right
 /// fields), padding the missing side with NULLs for outer joins.
 Row ConcatRows(const Row& left, const Row& right);
+/// ConcatRows with the left row boxed straight out of physical row `row` of
+/// a probe batch (one copy of its cells, no intermediate Row).
+Row ConcatRows(const ColumnBatch& left, size_t row, const Row& right);
 Row PadNullRight(const Row& left, size_t right_width);
 Row PadNullLeft(size_t left_width, const Row& right);
-
-/// Batch-granularity operator kernels, shared by the serial pull pipelines
-/// above and the morsel-driven parallel executor (exec/parallel/): a single
-/// implementation of filter/project semantics, whichever thread runs it.
-/// Filter semantics live in RexInterpreter::NarrowSelection (selection
-/// narrowing); the project kernel below consumes the selection.
-///
-/// Projects the *selected* rows of `batch` in place. Projection writes one
-/// fresh output row per live input row, so it compacts as a side effect:
-/// on return the batch is dense (has_sel false) with ActiveCount() rows.
-Status ApplyProjectToSelBatch(const std::vector<RexNodePtr>& exprs,
-                              SelBatch* batch);
 
 /// Join runtime helpers shared by the serial joins and the parallel
 /// partitioned hash join.
@@ -262,8 +248,26 @@ std::optional<Row> JoinSideKey(const Row& row,
 /// (SEMI/ANTI decide emission per left row instead).
 bool JoinEmitsCombinedRows(JoinType join_type);
 /// Emission decided once per probed left row, after its matches ran.
-void JoinEmitPerLeftRow(JoinType join_type, bool matched, Row&& lrow,
-                        size_t right_width, RowBatch* out);
+/// `left_row` (a callable returning Row&) is invoked only when the row is
+/// emitted, so columnar probes box it lazily.
+template <typename LeftRow>
+void JoinEmitPerLeftRow(JoinType join_type, bool matched, LeftRow&& left_row,
+                        size_t right_width, RowBatch* out) {
+  switch (join_type) {
+    case JoinType::kLeft:
+    case JoinType::kFull:
+      if (!matched) out->push_back(PadNullRight(left_row(), right_width));
+      break;
+    case JoinType::kSemi:
+      if (matched) out->push_back(std::move(left_row()));
+      break;
+    case JoinType::kAnti:
+      if (!matched) out->push_back(std::move(left_row()));
+      break;
+    default:
+      break;  // inner/right need no per-left-row emission
+  }
+}
 
 }  // namespace calcite
 

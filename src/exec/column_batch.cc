@@ -55,16 +55,10 @@ void ColumnBatch::ShareStorage(const ColumnBatch& other) {
   if (other.arena != nullptr && other.arena != arena) {
     pins.push_back(other.arena);
   }
+  if (other.rows != nullptr) pins.push_back(other.rows);
   pins.insert(pins.end(), other.pins.begin(), other.pins.end());
   boxed_pool.insert(boxed_pool.end(), other.boxed_pool.begin(),
                     other.boxed_pool.end());
-}
-
-Row ColumnBatch::GatherRow(size_t row) const {
-  Row out;
-  out.reserve(cols.size());
-  for (const ColumnVector& col : cols) out.push_back(col.GetValue(row));
-  return out;
 }
 
 std::shared_ptr<const TableColumns> TableColumns::Build(
@@ -72,7 +66,7 @@ std::shared_ptr<const TableColumns> TableColumns::Build(
   const auto& fields = row_type.fields();
   const size_t width = fields.size();
   for (const Row& row : rows) {
-    if (row.size() != width) return nullptr;  // ragged: stay on the row path
+    if (row.size() != width) return nullptr;  // ragged: no decomposition
   }
 
   auto out = std::make_shared<TableColumns>();
@@ -579,13 +573,160 @@ void ColumnsToRows(const ColumnBatch& batch, RowBatch* out) {
   }
 }
 
-Result<ColumnBatch> RowsToColumns(const RowBatch& rows,
-                                  const RelDataType& row_type) {
-  TableColumnsPtr columns = TableColumns::Build(rows, row_type);
-  if (columns == nullptr) {
-    return Status::Internal("cannot decompose ragged rows into columns");
+Result<ColumnBatch> RowsToColumns(RowBatch rows, const RelDataType& row_type,
+                                  ArenaPtr arena, const ColumnMask& convert) {
+  const auto& fields = row_type.fields();
+  const size_t width = fields.size();
+  const size_t n = rows.size();
+  auto source = std::make_shared<const RowBatch>(std::move(rows));
+  ColumnBatch batch;
+  batch.num_rows = n;
+  batch.arena = arena != nullptr ? std::move(arena) : std::make_shared<Arena>();
+  batch.rows = source;
+  Arena& a = *batch.arena;
+
+  // Every converted column starts typed per its declared class, with a
+  // null bytemap; a cell that does not fit degrades its column to boxed
+  // (filled after the pass), and an all-valid bytemap is dropped at the
+  // end. Unconverted columns share one all-NULL boxed column.
+  std::vector<PhysType> phys(width);
+  std::vector<void*> data(width, nullptr);
+  std::vector<uint8_t*> nulls(width, nullptr);
+  std::vector<uint8_t> any_null(width, 0);
+  std::vector<bool> skipped(width, false);
+  std::vector<size_t> typed;  // columns the row pass fills
+  for (size_t c = 0; c < width; ++c) {
+    skipped[c] = !convert.empty() && (c >= convert.size() || !convert[c]);
+    if (skipped[c]) continue;
+    phys[c] = PhysTypeForRel(*fields[c].type);
+    switch (phys[c]) {
+      case PhysType::kInt64:
+        data[c] = a.AllocateArray<int64_t>(n);
+        break;
+      case PhysType::kDouble:
+        data[c] = a.AllocateArray<double>(n);
+        break;
+      case PhysType::kBool:
+        data[c] = a.AllocateArray<uint8_t>(n);
+        break;
+      case PhysType::kString:
+        data[c] = a.AllocateArray<StringRef>(n);
+        break;
+      case PhysType::kValue:
+        continue;
+    }
+    nulls[c] = a.AllocateArray<uint8_t>(n);
+    typed.push_back(c);
   }
-  return SliceTableColumns(columns, 0, rows.size(), nullptr);
+
+  // One row-major pass: each row is read once, while it is in cache.
+  for (size_t i = 0; i < n; ++i) {
+    const Row& row = (*source)[i];
+    if (row.size() != width) {
+      return Status::Internal("cannot decompose ragged rows into columns");
+    }
+    for (size_t c : typed) {
+      if (nulls[c] == nullptr) continue;  // degraded to boxed: filled below
+      const Value& v = row[c];
+      const bool is_null = v.IsNull();
+      nulls[c][i] = is_null ? 1 : 0;
+      any_null[c] |= nulls[c][i];
+      switch (phys[c]) {
+        // NULL cells hold a zero payload, as in TableColumns: kernels may
+        // compute over a NULL cell's data before masking it.
+        case PhysType::kInt64:
+          if (is_null || v.is_int()) {
+            static_cast<int64_t*>(data[c])[i] = is_null ? 0 : v.AsInt();
+            continue;
+          }
+          break;
+        case PhysType::kDouble:
+          if (is_null || v.is_double()) {
+            static_cast<double*>(data[c])[i] = is_null ? 0.0 : v.AsDouble();
+            continue;
+          }
+          break;
+        case PhysType::kBool:
+          if (is_null || v.is_bool()) {
+            static_cast<uint8_t*>(data[c])[i] = !is_null && v.AsBool();
+            continue;
+          }
+          break;
+        case PhysType::kString:
+          if (is_null) {
+            static_cast<StringRef*>(data[c])[i] = StringRef{};
+            continue;
+          }
+          if (v.is_string()) {
+            const std::string& s = v.AsString();
+            static_cast<StringRef*>(data[c])[i] =
+                StringRef{s.data(), static_cast<uint32_t>(s.size())};
+            continue;
+          }
+          break;
+        case PhysType::kValue:
+          break;
+      }
+      phys[c] = PhysType::kValue;  // misfit: the column goes boxed
+      nulls[c] = nullptr;
+    }
+  }
+
+  batch.cols.resize(width);
+  for (size_t c = 0; c < width; ++c) {
+    ColumnVector& col = batch.cols[c];
+    col.type = skipped[c] ? PhysType::kValue : phys[c];
+    switch (col.type) {
+      case PhysType::kInt64:
+        col.i64 = static_cast<const int64_t*>(data[c]);
+        break;
+      case PhysType::kDouble:
+        col.f64 = static_cast<const double*>(data[c]);
+        break;
+      case PhysType::kBool:
+        col.b8 = static_cast<const uint8_t*>(data[c]);
+        break;
+      case PhysType::kString:
+        col.str = static_cast<const StringRef*>(data[c]);
+        break;
+      case PhysType::kValue: {
+        if (skipped[c]) {
+          // Read-only once built, so batches on any thread may share it.
+          thread_local std::shared_ptr<std::vector<Value>> all_null;
+          if (all_null == nullptr || all_null->size() < n) {
+            all_null = std::make_shared<std::vector<Value>>(n);
+          }
+          if (batch.boxed_pool.empty() || batch.boxed_pool.back() != all_null) {
+            batch.boxed_pool.push_back(all_null);
+          }
+          col.boxed = all_null->data();
+          continue;
+        }
+        auto boxed = std::make_shared<std::vector<Value>>();
+        boxed->reserve(n);
+        for (const Row& row : *source) boxed->push_back(row[c]);
+        col.boxed = boxed->data();
+        batch.boxed_pool.push_back(std::move(boxed));
+        continue;
+      }
+    }
+    if (any_null[c]) col.nulls = nulls[c];
+  }
+  return batch;
+}
+
+ColumnBatchPuller RowsToColumnsPuller(RowBatchPuller rows,
+                                      RelDataTypePtr row_type,
+                                      ColumnMask convert) {
+  auto pool = std::make_shared<ArenaPool>();
+  return [rows = std::move(rows), row_type = std::move(row_type),
+          convert = std::move(convert), pool]() -> Result<ColumnBatch> {
+    auto batch = rows();
+    if (!batch.ok()) return batch.status();
+    if (batch.value().empty()) return ColumnBatch{};
+    return RowsToColumns(std::move(batch).value(), *row_type, pool->Acquire(),
+                         convert);
+  };
 }
 
 namespace {

@@ -69,9 +69,11 @@ struct ColumnVector {
 };
 
 /// A column-major batch: `num_rows` physical rows stored as per-column typed
-/// vectors, plus an optional selection vector naming the live subset (same
-/// ascending-index contract as SelBatch). This is the native currency of the
-/// columnar hot path.
+/// vectors, plus an optional selection vector naming the live subset (when
+/// `has_sel`, `sel` holds strictly ascending, in-range row indexes; when
+/// not, every row is live). This is the one form in which the engine
+/// evaluates expressions: filters narrow `sel` instead of compacting, and
+/// projections gather the live rows into dense output columns.
 ///
 /// Ownership is shared and shallow: `arena` owns bump-allocated column
 /// storage produced by kernels, `boxed_pool` owns boxed Value columns (which
@@ -88,6 +90,11 @@ struct ColumnBatch {
   ArenaPtr arena;
   std::vector<std::shared_ptr<const void>> pins;
   std::vector<std::shared_ptr<std::vector<Value>>> boxed_pool;
+  /// Set only by RowsToColumns: the dense rows this batch was decomposed
+  /// from (physical row i is (*rows)[i]), which its string columns point
+  /// into. GatherRow copies from them, so boxing back is a plain row copy
+  /// and columns RowsToColumns left unconverted still box correctly.
+  std::shared_ptr<const RowBatch> rows;
 
   /// End-of-stream marker (same convention as RowBatch pullers: producers
   /// never yield a batch with zero live rows mid-stream).
@@ -96,12 +103,28 @@ struct ColumnBatch {
   size_t ActiveCount() const { return has_sel ? sel.size() : num_rows; }
   size_t ActiveIndex(size_t k) const { return has_sel ? sel[k] : k; }
 
-  /// Adopts `other`'s storage owners so columns of `other` may be aliased
-  /// into this batch without copying.
+  /// Adopts `other`'s storage owners (its source rows included) so columns
+  /// of `other` may be aliased into this batch without copying.
   void ShareStorage(const ColumnBatch& other);
 
   /// Boxes one physical row (all columns) back into a Row.
-  Row GatherRow(size_t row) const;
+  Row GatherRow(size_t row) const {
+    if (rows != nullptr) return (*rows)[row];
+    Row out;
+    AppendRow(row, &out);
+    return out;
+  }
+
+  /// Appends the cells of one physical row (all columns) to `out`.
+  void AppendRow(size_t row, Row* out) const {
+    if (rows != nullptr) {
+      const Row& source = (*rows)[row];
+      out->insert(out->end(), source.begin(), source.end());
+      return;
+    }
+    out->reserve(out->size() + cols.size());
+    for (const ColumnVector& col : cols) out->push_back(col.GetValue(row));
+  }
 };
 
 /// Pull protocol for columnar pipelines; empty batch ends the stream.
@@ -130,7 +153,7 @@ struct TableColumns {
 
   /// Decomposes `rows` (whose shape is described by the struct `row_type`)
   /// into columns. Returns nullptr when the rows cannot be decomposed
-  /// (ragged widths) — callers then stay on the row path.
+  /// (ragged widths) — the table then offers no columnar cache.
   static std::shared_ptr<const TableColumns> Build(const std::vector<Row>& rows,
                                                    const RelDataType& row_type);
 
@@ -239,10 +262,31 @@ ColumnBatchPuller ScanTableColumns(TableColumnsPtr columns, size_t batch_size,
 /// column-to-row conversion boundary used by unconverted consumers).
 void ColumnsToRows(const ColumnBatch& batch, RowBatch* out);
 
-/// Decomposes a RowBatch into an owned ColumnBatch (test and bridge helper;
-/// the hot path never converts this direction). Fails on ragged rows.
-Result<ColumnBatch> RowsToColumns(const RowBatch& rows,
-                                  const RelDataType& row_type);
+/// Which columns of a row stream a columnar consumer reads: empty means
+/// all, else one flag per column.
+using ColumnMask = std::vector<bool>;
+
+/// The rows->columns leaf: decomposes dense `rows` into a ColumnBatch in
+/// one row-major pass. Typed columns (per the declared field types of the
+/// struct `row_type`) are bump-allocated from `arena` (a fresh one when
+/// null); string cells are StringRefs into the rows' own strings, which the
+/// batch keeps alive as ColumnBatch::rows. A column whose declared class
+/// does not fit some stored value degrades to a boxed kValue column,
+/// exactly like TableColumns::Build. Columns outside a non-empty `convert`
+/// mask are not decomposed — they read as NULL — for consumers that never
+/// look at them; GatherRow and ColumnsToRows still return whole rows.
+/// Ragged rows return an error Status.
+Result<ColumnBatch> RowsToColumns(RowBatch rows, const RelDataType& row_type,
+                                  ArenaPtr arena = nullptr,
+                                  const ColumnMask& convert = {});
+
+/// Streams RowsToColumns over every batch of `rows` (same end-of-stream
+/// contract), recycling arenas through a pool owned by the puller. This is
+/// how operators that produce rows natively (sort, joins, set ops, values,
+/// window, adapters) feed the columnar expression path.
+ColumnBatchPuller RowsToColumnsPuller(RowBatchPuller rows,
+                                      RelDataTypePtr row_type,
+                                      ColumnMask convert = {});
 
 }  // namespace calcite
 

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <optional>
 
-#include "exec/column_batch.h"
 #include "exec/parallel/task_scheduler.h"
 #include "exec/row_batch.h"
 
@@ -21,23 +20,19 @@ namespace calcite {
 /// producer fleet cannot materialize an unbounded result ahead of a slow
 /// consumer.
 ///
-/// The batch type is a template parameter because the exchange ships
-/// whatever the fragment's workers produce: dense RowBatches on the row
-/// path, or ColumnBatches on the columnar path — the latter move only
-/// column pointers and shared storage owners through the queue (zero-copy);
-/// cells are first materialized on the consumer side, if at all.
-template <typename BatchT>
-class BasicExchangeQueue {
+/// Workers box their survivors into dense RowBatches before pushing, so
+/// the consumer thread only hands finished rows on.
+class ExchangeQueue {
  public:
   /// `capacity` bounds the number of buffered batches; `num_producers` is
   /// the number of workers that will each call ProducerDone() exactly once.
-  BasicExchangeQueue(size_t capacity, size_t num_producers)
+  ExchangeQueue(size_t capacity, size_t num_producers)
       : capacity_(capacity == 0 ? 1 : capacity),
         producers_remaining_(num_producers) {}
 
   /// Enqueues a batch, blocking while the queue is full. Returns false if
   /// the exchange was cancelled (the producer should stop producing).
-  bool Push(BatchT batch) {
+  bool Push(RowBatch batch) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_cv_.wait(lock, [this] {
       return cancelled_ || queue_.size() < capacity_;
@@ -62,13 +57,13 @@ class BasicExchangeQueue {
   /// Dequeues the next batch (consumer side). Returns nullopt when every
   /// producer has finished and the buffer is empty, or when cancelled —
   /// the caller distinguishes the two through its QueryCancelState.
-  std::optional<BatchT> Pop() {
+  std::optional<RowBatch> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_cv_.wait(lock, [this] {
       return cancelled_ || !queue_.empty() || producers_remaining_ == 0;
     });
     if (!queue_.empty() && !cancelled_) {
-      BatchT batch = std::move(queue_.front());
+      RowBatch batch = std::move(queue_.front());
       queue_.pop_front();
       lock.unlock();
       not_full_cv_.notify_one();
@@ -92,18 +87,13 @@ class BasicExchangeQueue {
 
  private:
   const size_t capacity_;
-  std::deque<BatchT> queue_;
+  std::deque<RowBatch> queue_;
   size_t producers_remaining_;
   bool cancelled_ = false;
   std::mutex mu_;
   std::condition_variable not_empty_cv_;
   std::condition_variable not_full_cv_;
 };
-
-/// The row exchange (dense RowBatches) and the columnar exchange, which
-/// ships (columns, selection) pairs without touching cell data.
-using ExchangeQueue = BasicExchangeQueue<RowBatch>;
-using ColumnExchangeQueue = BasicExchangeQueue<ColumnBatch>;
 
 /// The gather operator: wraps a parallel fragment — its cancel state,
 /// exchange queue, and worker fleet — as an ordinary RowBatchPuller.
@@ -117,15 +107,6 @@ using ColumnExchangeQueue = BasicExchangeQueue<ColumnBatch>;
 RowBatchPuller MakeGatherPuller(
     std::shared_ptr<QueryCancelState> cancel,
     std::shared_ptr<ExchangeQueue> queue,
-    std::function<std::shared_ptr<TaskScheduler>()> start);
-
-/// Columnar gather: identical protocol over a ColumnExchangeQueue. The
-/// popped batches' surviving rows are boxed into dense RowBatches here, on
-/// the consumer thread — the one row materialization point of a columnar
-/// parallel fragment.
-RowBatchPuller MakeColumnarGatherPuller(
-    std::shared_ptr<QueryCancelState> cancel,
-    std::shared_ptr<ColumnExchangeQueue> queue,
     std::function<std::shared_ptr<TaskScheduler>()> start);
 
 }  // namespace calcite

@@ -37,48 +37,71 @@ struct PipelineStage {
   const std::vector<RexNodePtr>* project = nullptr;
 };
 
+/// Rows per morsel: small enough that the tail of a scan still spreads
+/// across the pool, large enough that the atomic claim amortizes.
+size_t PickMorselSize(size_t total_rows, size_t num_threads) {
+  size_t target = total_rows / (num_threads * 4);
+  return std::min(kDefaultMorselSize, std::max<size_t>(256, target));
+}
+
 /// A recognized morsel-parallelizable fragment: a (Filter|Project)* chain
-/// over a TableScan or Values leaf, plus the row storage morsels index
-/// into. Shared read-only by every worker of the fragment.
+/// over a leaf that workers can claim morsels of. Shared read-only by every
+/// worker of the fragment. The leaf is one of:
+///  - columnar (`columns` set): the table's columnar cache, or a Values
+///    node's tuples decomposed once; morsels are row ranges sliced as
+///    zero-copy views;
+///  - paged (`paged` set): a table without a columnar cache that tiles
+///    itself into scan units (a disk table's page runs); morsels are unit
+///    ranges, each opened with its own unit-ranged OpenScan that applies
+///    the `pushed` conjuncts of the bottom filter while decoding.
 struct FragmentSource {
   std::vector<RelNodePtr> pinned;  // fragment nodes (keep exprs/tuples alive)
-  TablePtr table;                  // set when the leaf is a table scan
-  const std::vector<Row>* rows = nullptr;        // stable leaf storage
-  std::shared_ptr<std::vector<Row>> owned_rows;  // fallback materialization
-  std::vector<PipelineStage> stages;             // applied bottom-up
-  /// Columnar decomposition of the leaf, set once on the consumer thread
-  /// before workers start (see PrepareColumnar). When set, workers slice
-  /// zero-copy ColumnBatches out of it instead of copying rows.
   TableColumnsPtr columns;
+  TablePtr paged;
+  RelDataTypePtr leaf_row_type;
+  ScanPredicateList pushed;
+  std::vector<PipelineStage> stages;  // applied bottom-up
 
-  /// Ensures `rows` points at the leaf data. Tables without stable row
-  /// storage are materialized through Scan() exactly once, on the consumer
-  /// thread, before any worker starts.
-  Status Materialize() {
-    if (rows != nullptr) return Status::OK();
-    auto scanned = table->Scan();
-    if (!scanned.ok()) return scanned.status();
-    owned_rows =
-        std::make_shared<std::vector<Row>>(std::move(scanned).value());
-    rows = owned_rows.get();
-    return Status::OK();
-  }
-
-  /// Fetches the leaf table's cached columnar decomposition (building it if
-  /// this is its first use), when the fragment is eligible for the columnar
-  /// path. Must run on the consumer thread, before any worker starts —
-  /// workers then share the immutable snapshot read-only.
-  void PrepareColumnar(const ExecOptions& opts) {
-    if (!opts.enable_columnar || table == nullptr) return;
-    TypeFactory type_factory;
-    columns = table->MaterializedColumns(type_factory);
+  std::shared_ptr<MorselSource> Morsels(size_t num_threads) const {
+    if (columns != nullptr) {
+      return std::make_shared<MorselSource>(
+          columns->num_rows, PickMorselSize(columns->num_rows, num_threads));
+    }
+    return std::make_shared<MorselSource>(paged->ScanUnitCount(),
+                                          /*morsel_size=*/1);
   }
 };
 
+using FragmentSourcePtr = std::shared_ptr<const FragmentSource>;
+
+/// Moves the pushable conjuncts of a paged leaf's bottom filter into the
+/// leaf scan; what the scan cannot evaluate stays behind as one filter
+/// stage per residual conjunct.
+void PushBottomFilter(FragmentSource* src) {
+  if (src->stages.empty() || src->stages.front().filter == nullptr) return;
+  std::vector<RexNodePtr> residual;
+  if (!ExtractScanPredicates(
+          src->stages.front().filter,
+          static_cast<int>(src->leaf_row_type->fields().size()), &src->pushed,
+          &residual)) {
+    return;
+  }
+  std::vector<PipelineStage> stages;
+  for (RexNodePtr& pred : residual) {
+    PipelineStage stage;
+    stage.filter = std::move(pred);
+    stages.push_back(std::move(stage));
+  }
+  stages.insert(stages.end(), src->stages.begin() + 1, src->stages.end());
+  src->stages = std::move(stages);
+}
+
 /// Matches the fragment shape the morsel executor can run: a chain of
 /// enumerable Filter/Project nodes over an enumerable TableScan or Values
-/// leaf. Converters (EnumerableInterpreter) and every other operator stop
-/// the chain — fragments never cross a calling-convention boundary.
+/// leaf with a morsel surface. Converters (EnumerableInterpreter) and every
+/// other operator stop the chain — fragments never cross a
+/// calling-convention boundary. Tables with neither a columnar cache nor
+/// scan units stay serial.
 bool RecognizeMorselPipeline(const RelNode& root, FragmentSource* out) {
   const RelNode* cur = &root;
   std::vector<PipelineStage> top_down;
@@ -106,42 +129,32 @@ bool RecognizeMorselPipeline(const RelNode& root, FragmentSource* out) {
       // stream scans always stay serial.
       if (scan->table()->IsStream()) return false;
       out->pinned.push_back(cur->shared_from_this());
-      out->table = scan->table();
-      out->rows = scan->table()->MaterializedRows();
+      TypeFactory type_factory;
+      out->columns = scan->table()->MaterializedColumns(type_factory);
+      if (out->columns == nullptr) {
+        if (scan->table()->ScanUnitCount() == 0) return false;
+        out->paged = scan->table();
+      }
+      out->leaf_row_type = scan->row_type();
       break;
     }
     if (const auto* values = dynamic_cast<const Values*>(cur)) {
       out->pinned.push_back(cur->shared_from_this());
-      out->rows = &values->tuples();
+      out->columns = TableColumns::Build(values->tuples(), *values->row_type());
+      if (out->columns == nullptr) return false;
+      out->leaf_row_type = values->row_type();
       break;
     }
     return false;
   }
   out->stages.assign(top_down.rbegin(), top_down.rend());
+  if (out->paged != nullptr) PushBottomFilter(out);
   return true;
 }
 
-/// Runs the fragment's filter/project chain over one batch, using the same
-/// selection-aware kernels as the serial pipelines (one implementation of
-/// operator semantics, whichever thread runs it). Filters narrow the
-/// batch's selection vector instead of compacting; a project consumes the
-/// selection (compacting as it writes). The batch is left possibly still
-/// carrying a selection — consumers either iterate ActiveRow() or call
-/// Compact() once before handing rows on.
-Status ApplyStagesSel(const std::vector<PipelineStage>& stages,
-                      SelBatch* batch) {
-  for (const PipelineStage& stage : stages) {
-    if (batch->ActiveCount() == 0) return Status::OK();
-    if (stage.filter != nullptr) {
-      batch->EnsureSelection();
-      CALCITE_RETURN_IF_ERROR(RexInterpreter::NarrowSelection(
-          stage.filter, batch->rows, &batch->sel));
-    } else {
-      CALCITE_RETURN_IF_ERROR(ApplyProjectToSelBatch(*stage.project, batch));
-    }
-  }
-  return Status::OK();
-}
+// ---------------------------------------------------------------------------
+// Worker side: morsel -> stage chain -> sink
+// ---------------------------------------------------------------------------
 
 /// Worker-local fused view of one pipeline stage: a FusedExpr per filter
 /// predicate / projection expression. FusedExpr caches a compiled bytecode
@@ -172,18 +185,14 @@ std::vector<FusedStage> BuildFusedStages(
   return out;
 }
 
-/// Columnar counterpart of ApplyStagesSel, one implementation of stage
-/// semantics on raw columns whichever worker thread runs it: filter stages
-/// narrow the batch's selection via the columnar kernels (fused bytecode
-/// where the predicate lowers), project stages rebuild the batch densely
-/// (selection consumed on write). `scratch_pool` recycles filter-scratch
-/// arenas; it and `stages` are worker-local, so acquire/release and the
-/// fused interpreter state stay on one thread. Project outputs get a
-/// *fresh* arena each time: those batches cross the exchange to the
-/// consumer thread, and an arena must never be recycled by one thread
-/// while another still reads it.
-Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
-                           ArenaPool* scratch_pool, ColumnBatch* batch) {
+/// Runs the stage chain on raw columns — the same FusedExpr semantics as
+/// the serial filter/project operators, whichever worker thread runs it:
+/// filter stages narrow the batch's selection, project stages rebuild the
+/// batch densely (selection consumed on write). `pool` and `stages` are
+/// worker-local, so arena recycling and the fused interpreter state stay on
+/// one thread (batches never leave the worker as columns).
+Status ApplyStagesColumnar(std::vector<FusedStage>* stages, ArenaPool* pool,
+                           ColumnBatch* batch) {
   for (FusedStage& stage : *stages) {
     if (batch->ActiveCount() == 0) return Status::OK();
     if (stage.filter != nullptr) {
@@ -194,12 +203,12 @@ Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
         }
         batch->has_sel = true;
       }
-      ArenaPtr scratch = scratch_pool->Acquire();
+      ArenaPtr scratch = pool->Acquire();
       CALCITE_RETURN_IF_ERROR(
           stage.filter->NarrowSelection(*batch, scratch, &batch->sel));
     } else {
       ColumnBatch out;
-      out.arena = std::make_shared<Arena>();
+      out.arena = pool->Acquire();
       out.num_rows = batch->ActiveCount();
       out.ShareStorage(*batch);
       for (FusedExpr& expr : stage.project) {
@@ -211,207 +220,145 @@ Status ApplyStagesColumnar(std::vector<FusedStage>* stages,
   return Status::OK();
 }
 
-/// Rows per morsel: small enough that the tail of a scan still spreads
-/// across the pool, large enough that the atomic claim amortizes.
-size_t PickMorselSize(size_t total_rows, size_t num_threads) {
-  size_t target = total_rows / (num_threads * 4);
-  return std::min(kDefaultMorselSize, std::max<size_t>(256, target));
+/// One batch of a morsel after the stage chain. A paged leaf's rows become
+/// columns only when a stage has to run on them, so a bare paged scan hands
+/// its decoded rows through as they are (`is_rows`); every other batch is
+/// `cols`, its live rows named by its selection.
+struct MorselBatch {
+  bool is_rows = false;
+  RowBatch rows;
+  ColumnBatch cols;
+};
+
+/// A worker's view of a fragment: its own fused stages and arena pool.
+/// Run() streams one claimed morsel through the leaf and the stage chain
+/// into a sink; Rows()/Columns() hand a batch over in whichever form the
+/// sink consumes, converting only when the forms differ.
+class MorselRunner {
+ public:
+  MorselRunner(FragmentSourcePtr src, const ExecOptions& opts)
+      : src_(std::move(src)),
+        stages_(BuildFusedStages(src_->stages, opts.enable_fusion)),
+        batch_size_(opts.batch_size) {}
+
+  /// Calls `sink(MorselBatch&&) -> Status` for every batch of `morsel` with
+  /// live rows; stops at the first error or once `cancel` is set.
+  template <typename Sink>
+  Status Run(const Morsel& morsel, const QueryCancelState& cancel,
+             Sink& sink) {
+    if (src_->columns != nullptr) {
+      for (size_t pos = morsel.begin; pos < morsel.end;) {
+        if (cancel.cancelled()) return Status::OK();
+        const size_t n = std::min(batch_size_, morsel.end - pos);
+        MorselBatch batch;
+        batch.cols = SliceTableColumns(src_->columns, pos, n, nullptr);
+        pos += n;
+        CALCITE_RETURN_IF_ERROR(Stage(&batch, sink));
+      }
+      return Status::OK();
+    }
+    // The paged leaf: one unit-ranged OpenScan per morsel streams just the
+    // claimed page run through the buffer pool, decoding only rows that
+    // pass the pushed conjuncts.
+    ScanSpec spec;
+    spec.batch_size = batch_size_;
+    spec.predicates = src_->pushed;
+    spec.unit_begin = morsel.begin;
+    spec.unit_end = morsel.end;
+    CALCITE_ASSIGN_OR_RETURN(RowBatchPuller pull, src_->paged->OpenScan(spec));
+    while (!cancel.cancelled()) {
+      CALCITE_ASSIGN_OR_RETURN(RowBatch rows, pull());
+      if (rows.empty()) break;
+      MorselBatch batch;
+      batch.is_rows = stages_.empty();
+      if (batch.is_rows) {
+        batch.rows = std::move(rows);
+      } else {
+        CALCITE_ASSIGN_OR_RETURN(batch.cols, ToColumns(std::move(rows)));
+      }
+      CALCITE_RETURN_IF_ERROR(Stage(&batch, sink));
+    }
+    return Status::OK();
+  }
+
+  /// The batch's live rows, boxed here on the worker thread.
+  RowBatch Rows(MorselBatch&& batch) {
+    if (batch.is_rows) return std::move(batch.rows);
+    RowBatch out;
+    ColumnsToRows(batch.cols, &out);
+    return out;
+  }
+
+  Result<ColumnBatch> Columns(MorselBatch&& batch) {
+    if (batch.is_rows) return ToColumns(std::move(batch.rows));
+    return std::move(batch.cols);
+  }
+
+ private:
+  Result<ColumnBatch> ToColumns(RowBatch rows) {
+    return RowsToColumns(std::move(rows), *src_->leaf_row_type,
+                         pool_.Acquire());
+  }
+
+  template <typename Sink>
+  Status Stage(MorselBatch* batch, Sink& sink) {
+    if (!batch->is_rows) {
+      CALCITE_RETURN_IF_ERROR(
+          ApplyStagesColumnar(&stages_, &pool_, &batch->cols));
+      if (batch->cols.ActiveCount() == 0) return Status::OK();
+    }
+    return sink(std::move(*batch));
+  }
+
+  FragmentSourcePtr src_;
+  std::vector<FusedStage> stages_;
+  ArenaPool pool_;
+  size_t batch_size_;
+};
+
+/// A worker's morsel loop: claims morsels until the source drains or the
+/// fragment is cancelled, running each through `runner` into `sink`. The
+/// first error cancels the fragment. A sink that finds the exchange closed
+/// just returns: the exchange only closes after the fragment is cancelled.
+template <typename Sink>
+void DriveWorker(MorselRunner* runner, MorselSource* morsels,
+                 QueryCancelState* cancel, Sink sink) {
+  while (!cancel->cancelled()) {
+    auto morsel = morsels->Next();
+    if (!morsel.has_value()) return;
+    Status status = runner->Run(*morsel, *cancel, sink);
+    if (!status.ok()) {
+      cancel->Cancel(std::move(status));
+      return;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Morsel-parallel scan -> filter -> project pipeline
 // ---------------------------------------------------------------------------
 
-/// Worker loop of a pipeline fragment: claim a morsel, slice it into
-/// batches, run the stage chain, exchange survivors. Stops at the next
-/// batch boundary once the fragment is cancelled.
-void RunPipelineWorker(const FragmentSource& src, QueryCancelState* cancel,
-                       ExchangeQueue* queue, MorselSource* morsels,
-                       size_t batch_size) {
-  const std::vector<Row>& rows = *src.rows;
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      SelBatch batch;
-      batch.rows.assign(rows.begin() + static_cast<ptrdiff_t>(pos),
-                        rows.begin() + static_cast<ptrdiff_t>(pos + n));
-      pos += n;
-      Status status = ApplyStagesSel(src.stages, &batch);
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        queue->Cancel();
-        return;
-      }
-      if (batch.ActiveCount() == 0) continue;
-      // The exchange carries dense RowBatches: compact once, at the very
-      // end of the stage chain (a trailing project already did).
-      batch.Compact();
-      if (!queue->Push(std::move(batch.rows))) return;
-    }
-  }
-}
-
-/// Paged worker loop for out-of-core leaves (tables that expose a scan-unit
-/// surface instead of MaterializedRows): claim one scan unit — for a disk
-/// table, a run of heap pages — per morsel, materialize just that unit into
-/// a worker-local buffer, run the stage chain, exchange survivors. Memory
-/// stays bounded by units-in-flight (one per worker), never the whole
-/// table.
-void RunPagedPipelineWorker(const FragmentSource& src, QueryCancelState* cancel,
-                            ExchangeQueue* queue, MorselSource* morsels,
-                            size_t batch_size) {
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    // One unit-ranged OpenScan per morsel: the table streams its own pages
-    // (for a disk table, page-run at a time through the buffer pool), so
-    // the worker never materializes more than a page run.
-    ScanSpec spec;
-    spec.batch_size = batch_size;
-    spec.unit_begin = morsel->begin;
-    spec.unit_end = morsel->end;
-    auto scan = src.table->OpenScan(spec);
-    if (!scan.ok()) {
-      cancel->Cancel(scan.status());
-      queue->Cancel();
-      return;
-    }
-    RowBatchPuller pull = std::move(scan).value();
-    for (;;) {
-      if (cancel->cancelled()) return;
-      auto pulled = pull();
-      if (!pulled.ok()) {
-        cancel->Cancel(pulled.status());
-        queue->Cancel();
-        return;
-      }
-      if (pulled.value().empty()) break;
-      SelBatch batch;
-      batch.rows = std::move(pulled).value();
-      Status status = ApplyStagesSel(src.stages, &batch);
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        queue->Cancel();
-        return;
-      }
-      if (batch.ActiveCount() == 0) continue;
-      batch.Compact();
-      if (!queue->Push(std::move(batch.rows))) return;
-    }
-  }
-}
-
-/// Columnar worker loop: claim a morsel, slice zero-copy column views out
-/// of the table's decomposition, run the stage chain on raw columns, ship
-/// the surviving (columns, selection) pairs through the exchange without
-/// materializing a single row.
-void RunColumnarPipelineWorker(const std::shared_ptr<FragmentSource>& src,
-                               QueryCancelState* cancel,
-                               ColumnExchangeQueue* queue,
-                               MorselSource* morsels, size_t batch_size,
-                               bool enable_fusion) {
-  ArenaPool scratch_pool;
-  std::vector<FusedStage> stages = BuildFusedStages(src->stages, enable_fusion);
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      ColumnBatch batch = SliceTableColumns(src->columns, pos, n, src);
-      pos += n;
-      Status status = ApplyStagesColumnar(&stages, &scratch_pool, &batch);
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        queue->Cancel();
-        return;
-      }
-      if (batch.ActiveCount() == 0) continue;
-      if (!queue->Push(std::move(batch))) return;
-    }
-  }
-}
-
 Result<RowBatchPuller> ExecutePipelineParallel(FragmentSource fragment,
                                                const ExecOptions& opts) {
   const size_t threads = opts.num_threads;
-  const size_t batch_size = opts.batch_size;
-  auto src = std::make_shared<FragmentSource>(std::move(fragment));
+  auto src = std::make_shared<const FragmentSource>(std::move(fragment));
   auto cancel = std::make_shared<QueryCancelState>();
-
-  src->PrepareColumnar(opts);
-  if (src->columns != nullptr) {
-    const bool enable_fusion = opts.enable_fusion;
-    auto queue = std::make_shared<ColumnExchangeQueue>(threads * 2, threads);
-    auto start = [src, cancel, queue, threads, batch_size,
-                  enable_fusion]() -> std::shared_ptr<TaskScheduler> {
-      auto morsels = std::make_shared<MorselSource>(
-          src->columns->num_rows,
-          PickMorselSize(src->columns->num_rows, threads));
-      auto scheduler = std::make_shared<TaskScheduler>(threads);
-      for (size_t t = 0; t < threads; ++t) {
-        scheduler->Submit(
-            [src, cancel, queue, morsels, batch_size, enable_fusion]() {
-              RunColumnarPipelineWorker(src, cancel.get(), queue.get(),
-                                        morsels.get(), batch_size,
-                                        enable_fusion);
-              queue->ProducerDone();
-            });
-      }
-      return scheduler;
-    };
-    return MakeColumnarGatherPuller(std::move(cancel), std::move(queue),
-                                    std::move(start));
-  }
-
-  // Out-of-core leaves: no stable row storage, but a paged scan surface.
-  // Workers claim whole scan units as morsels instead of row ranges of a
-  // materialized copy that would defeat the point of out-of-core storage.
-  const size_t scan_units =
-      (src->rows == nullptr && src->table != nullptr)
-          ? src->table->ScanUnitCount()
-          : 0;
-  if (scan_units > 0) {
-    auto queue = std::make_shared<ExchangeQueue>(threads * 2, threads);
-    auto start = [src, cancel, queue, threads, batch_size,
-                  scan_units]() -> std::shared_ptr<TaskScheduler> {
-      auto morsels =
-          std::make_shared<MorselSource>(scan_units, /*morsel_size=*/1);
-      auto scheduler = std::make_shared<TaskScheduler>(threads);
-      for (size_t t = 0; t < threads; ++t) {
-        scheduler->Submit([src, cancel, queue, morsels, batch_size]() {
-          RunPagedPipelineWorker(*src, cancel.get(), queue.get(),
-                                 morsels.get(), batch_size);
-          queue->ProducerDone();
-        });
-      }
-      return scheduler;
-    };
-    return MakeGatherPuller(std::move(cancel), std::move(queue),
-                            std::move(start));
-  }
-
   auto queue = std::make_shared<ExchangeQueue>(threads * 2, threads);
   auto start = [src, cancel, queue, threads,
-                batch_size]() -> std::shared_ptr<TaskScheduler> {
-    Status status = src->Materialize();
-    if (!status.ok()) {
-      cancel->Cancel(std::move(status));
-      queue->Cancel();
-      return nullptr;
-    }
-    auto morsels = std::make_shared<MorselSource>(
-        src->rows->size(), PickMorselSize(src->rows->size(), threads));
+                opts]() -> std::shared_ptr<TaskScheduler> {
+    auto morsels = src->Morsels(threads);
     auto scheduler = std::make_shared<TaskScheduler>(threads);
     for (size_t t = 0; t < threads; ++t) {
-      scheduler->Submit([src, cancel, queue, morsels, batch_size]() {
-        RunPipelineWorker(*src, cancel.get(), queue.get(), morsels.get(),
-                          batch_size);
+      scheduler->Submit([src, cancel, queue, morsels, opts]() {
+        MorselRunner runner(src, opts);
+        // Survivors are boxed on the worker, so the gather thread only
+        // hands finished rows on.
+        DriveWorker(&runner, morsels.get(), cancel.get(),
+                    [&](MorselBatch&& batch) {
+                      queue->Push(runner.Rows(std::move(batch)));
+                      return Status::OK();
+                    });
+        if (cancel->cancelled()) queue->Cancel();
         queue->ProducerDone();
       });
     }
@@ -425,9 +372,10 @@ Result<RowBatchPuller> ExecutePipelineParallel(FragmentSource fragment,
 // Partitioned hash aggregate (thread-local build + merge)
 // ---------------------------------------------------------------------------
 
-/// Thread-local aggregation state: one group table per worker, merged by
-/// the consumer once every morsel has been aggregated. Group output order
-/// is first-seen order across the merge — deterministic for one thread,
+/// Thread-local state of a wider-key aggregate (ColumnarAggBuilder covers
+/// zero or one group key): one group table per worker, merged by the
+/// consumer once every morsel has been aggregated. Group output order is
+/// first-seen order across the merge — deterministic for one thread,
 /// unspecified across threads (workers race for morsels).
 struct LocalAggState {
   std::unordered_map<Row, size_t, RowHash> index;
@@ -437,29 +385,10 @@ struct LocalAggState {
 
 Status FeedLocalAgg(const std::vector<int>& group_keys,
                     const std::vector<AggregateCall>& agg_calls,
-                    const SelBatch& batch, LocalAggState* local) {
-  auto new_group = [&](Row key) {
-    local->keys.push_back(std::move(key));
-    std::vector<AggAccumulator> accs;
-    accs.reserve(agg_calls.size());
-    for (const AggregateCall& call : agg_calls) accs.emplace_back(call);
-    local->accs.push_back(std::move(accs));
-  };
-  if (group_keys.empty()) {
-    // Global aggregate: one accumulator set per worker, batch-fed through
-    // the selection (an upstream filter stage never compacted).
-    if (local->accs.empty()) new_group(Row{});
-    const SelectionVector* sel = batch.has_sel ? &batch.sel : nullptr;
-    for (AggAccumulator& acc : local->accs[0]) {
-      CALCITE_RETURN_IF_ERROR(acc.AddBatchSel(batch.rows, sel));
-    }
-    return Status::OK();
-  }
+                    const RowBatch& rows, LocalAggState* local) {
   Row scratch_key;
   scratch_key.reserve(group_keys.size());
-  const size_t active = batch.ActiveCount();
-  for (size_t i = 0; i < active; ++i) {
-    const Row& row = batch.ActiveRow(i);
+  for (const Row& row : rows) {
     scratch_key.clear();
     for (int k : group_keys) {
       scratch_key.push_back(row[static_cast<size_t>(k)]);
@@ -471,73 +400,17 @@ Status FeedLocalAgg(const std::vector<int>& group_keys,
     } else {
       group = local->accs.size();
       local->index.emplace(scratch_key, group);
-      new_group(scratch_key);
+      local->keys.push_back(scratch_key);
+      std::vector<AggAccumulator> accs;
+      accs.reserve(agg_calls.size());
+      for (const AggregateCall& call : agg_calls) accs.emplace_back(call);
+      local->accs.push_back(std::move(accs));
     }
     for (AggAccumulator& acc : local->accs[group]) {
       CALCITE_RETURN_IF_ERROR(acc.Add(row));
     }
   }
   return Status::OK();
-}
-
-void RunAggWorker(const FragmentSource& src,
-                  const std::vector<int>& group_keys,
-                  const std::vector<AggregateCall>& agg_calls,
-                  QueryCancelState* cancel, MorselSource* morsels,
-                  size_t batch_size, LocalAggState* local) {
-  const std::vector<Row>& rows = *src.rows;
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      SelBatch batch;
-      batch.rows.assign(rows.begin() + static_cast<ptrdiff_t>(pos),
-                        rows.begin() + static_cast<ptrdiff_t>(pos + n));
-      pos += n;
-      Status status = ApplyStagesSel(src.stages, &batch);
-      if (status.ok() && batch.ActiveCount() > 0) {
-        status = FeedLocalAgg(group_keys, agg_calls, batch, local);
-      }
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        return;
-      }
-    }
-  }
-}
-
-/// Columnar aggregation worker: morsels are sliced as zero-copy column
-/// views, run through the columnar stage chain, and fed to a worker-local
-/// ColumnarAggBuilder via the typed accumulator adders — no cell is boxed
-/// unless it opens a new group.
-void RunColumnarAggWorker(const std::shared_ptr<FragmentSource>& src,
-                          QueryCancelState* cancel, MorselSource* morsels,
-                          size_t batch_size, bool enable_fusion,
-                          ColumnarAggBuilder* local) {
-  ArenaPool scratch_pool;
-  std::vector<FusedStage> stages = BuildFusedStages(src->stages, enable_fusion);
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      ColumnBatch batch = SliceTableColumns(src->columns, pos, n, src);
-      pos += n;
-      Status status = ApplyStagesColumnar(&stages, &scratch_pool, &batch);
-      if (status.ok() && batch.ActiveCount() > 0) {
-        status = local->Feed(batch);
-      }
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        return;
-      }
-    }
-  }
 }
 
 struct ParallelAggState {
@@ -548,120 +421,105 @@ struct ParallelAggState {
   size_t pos = 0;
 };
 
+/// Folds the worker-local wider-key tables into `state->out_rows`
+/// (partial-state merge, not re-aggregation).
+Status MergeLocalAggs(const std::vector<AggregateCall>& agg_calls,
+                      std::vector<LocalAggState>* locals,
+                      ParallelAggState* state) {
+  std::unordered_map<Row, size_t, RowHash> merged_index;
+  std::vector<Row> merged_keys;
+  std::vector<std::vector<AggAccumulator>> merged_accs;
+  for (LocalAggState& local : *locals) {
+    for (size_t g = 0; g < local.keys.size(); ++g) {
+      auto it = merged_index.find(local.keys[g]);
+      if (it == merged_index.end()) {
+        merged_index.emplace(local.keys[g], merged_keys.size());
+        merged_keys.push_back(std::move(local.keys[g]));
+        merged_accs.push_back(std::move(local.accs[g]));
+      } else {
+        std::vector<AggAccumulator>& into = merged_accs[it->second];
+        for (size_t a = 0; a < into.size(); ++a) {
+          CALCITE_RETURN_IF_ERROR(into[a].MergeFrom(local.accs[g][a]));
+        }
+      }
+    }
+  }
+  state->out_rows.reserve(merged_keys.size());
+  for (size_t g = 0; g < merged_keys.size(); ++g) {
+    Row result = std::move(merged_keys[g]);
+    result.reserve(result.size() + agg_calls.size());
+    for (const AggAccumulator& acc : merged_accs[g]) {
+      result.push_back(acc.Finish());
+    }
+    state->out_rows.push_back(std::move(result));
+  }
+  return Status::OK();
+}
+
 Result<RowBatchPuller> ExecuteAggregateParallel(const Aggregate& agg,
                                                 FragmentSource fragment,
                                                 const ExecOptions& opts) {
   const size_t threads = opts.num_threads;
   const size_t batch_size = opts.batch_size;
-  auto src = std::make_shared<FragmentSource>(std::move(fragment));
+  auto src = std::make_shared<const FragmentSource>(std::move(fragment));
   RelNodePtr self = agg.shared_from_this();  // pins group_keys_/agg_calls_
   const Aggregate* node = &agg;
   auto state = std::make_shared<ParallelAggState>();
 
-  ExecOptions opts_copy = opts;
   return RowBatchPuller([src, self, node, state, threads, batch_size,
-                         opts_copy]() -> Result<RowBatch> {
+                         opts]() -> Result<RowBatch> {
     const std::vector<int>& group_keys = node->group_keys();
     const std::vector<AggregateCall>& agg_calls = node->agg_calls();
-    if (!state->built && state->merged == nullptr) {
-      // Columnar build phase: worker-local ColumnarAggBuilders over column
-      // morsels, merged serially once the workers are joined.
-      if (auto merged = ColumnarAggBuilder::TryCreate(group_keys, agg_calls)) {
-        src->PrepareColumnar(opts_copy);
-        if (src->columns != nullptr) {
-          auto cancel = std::make_shared<QueryCancelState>();
-          std::vector<std::unique_ptr<ColumnarAggBuilder>> locals(threads);
-          for (size_t t = 0; t < threads; ++t) {
-            locals[t] = ColumnarAggBuilder::TryCreate(group_keys, agg_calls);
-          }
-          {
-            MorselSource morsels(
-                src->columns->num_rows,
-                PickMorselSize(src->columns->num_rows, threads));
-            TaskScheduler scheduler(threads);
-            const bool enable_fusion = opts_copy.enable_fusion;
-            for (size_t t = 0; t < threads; ++t) {
-              ColumnarAggBuilder* local = locals[t].get();
-              scheduler.Submit([src, cancel, &morsels, batch_size,
-                                enable_fusion, local]() {
-                RunColumnarAggWorker(src, cancel.get(), &morsels, batch_size,
-                                     enable_fusion, local);
-              });
-            }
-            scheduler.WaitIdle();
-          }
-          CALCITE_RETURN_IF_ERROR(cancel->status());
-          for (const auto& local : locals) {
-            CALCITE_RETURN_IF_ERROR(merged->MergeFrom(*local));
-          }
-          state->merged = std::move(merged);
-          state->built = true;
-        }
-      }
-    }
-    if (state->merged != nullptr) {
-      return state->merged->EmitBatch(batch_size);
-    }
     if (!state->built) {
-      // Build phase: thread-local aggregation over morsels, then a serial
-      // merge. The scheduler lives only for this phase; its destructor
-      // joins the workers, so locals are safe to read afterwards.
-      CALCITE_RETURN_IF_ERROR(src->Materialize());
-      auto cancel = std::make_shared<QueryCancelState>();
+      // Build phase: worker-local aggregation over morsels — a
+      // ColumnarAggBuilder fed straight from the stage chain's columns
+      // where the grouping shape allows, else a Row-keyed table over the
+      // boxed survivors — then a serial merge. The scheduler lives only for
+      // this phase; its destructor joins the workers, so the locals are
+      // safe to read afterwards.
+      std::vector<std::unique_ptr<ColumnarAggBuilder>> builders(threads);
+      for (auto& builder : builders) {
+        builder = ColumnarAggBuilder::TryCreate(group_keys, agg_calls);
+      }
       std::vector<LocalAggState> locals(threads);
+      auto cancel = std::make_shared<QueryCancelState>();
       {
-        MorselSource morsels(src->rows->size(),
-                             PickMorselSize(src->rows->size(), threads));
+        auto morsels = src->Morsels(threads);
         TaskScheduler scheduler(threads);
         for (size_t t = 0; t < threads; ++t) {
+          ColumnarAggBuilder* builder = builders[t].get();
           LocalAggState* local = &locals[t];
-          scheduler.Submit([src, &group_keys, &agg_calls, cancel, &morsels,
-                            batch_size, local]() {
-            RunAggWorker(*src, group_keys, agg_calls, cancel.get(), &morsels,
-                         batch_size, local);
+          scheduler.Submit([&, builder, local]() {
+            MorselRunner runner(src, opts);
+            DriveWorker(&runner, morsels.get(), cancel.get(),
+                        [&](MorselBatch&& batch) -> Status {
+                          if (builder != nullptr) {
+                            CALCITE_ASSIGN_OR_RETURN(
+                                ColumnBatch cols,
+                                runner.Columns(std::move(batch)));
+                            return builder->Feed(cols);
+                          }
+                          return FeedLocalAgg(group_keys, agg_calls,
+                                              runner.Rows(std::move(batch)),
+                                              local);
+                        });
           });
         }
         scheduler.WaitIdle();
       }
       CALCITE_RETURN_IF_ERROR(cancel->status());
-
-      // Merge: accumulate worker-local groups into one table, combining
-      // accumulators (partial-state merge, not re-aggregation).
-      std::unordered_map<Row, size_t, RowHash> merged_index;
-      std::vector<Row> merged_keys;
-      std::vector<std::vector<AggAccumulator>> merged_accs;
-      for (LocalAggState& local : locals) {
-        for (size_t g = 0; g < local.keys.size(); ++g) {
-          auto it = merged_index.find(local.keys[g]);
-          if (it == merged_index.end()) {
-            merged_index.emplace(local.keys[g], merged_keys.size());
-            merged_keys.push_back(std::move(local.keys[g]));
-            merged_accs.push_back(std::move(local.accs[g]));
-          } else {
-            std::vector<AggAccumulator>& into = merged_accs[it->second];
-            for (size_t a = 0; a < into.size(); ++a) {
-              CALCITE_RETURN_IF_ERROR(into[a].MergeFrom(local.accs[g][a]));
-            }
-          }
+      if (builders[0] != nullptr) {
+        for (size_t t = 1; t < threads; ++t) {
+          CALCITE_RETURN_IF_ERROR(builders[0]->MergeFrom(*builders[t]));
         }
-      }
-      // Global aggregate over empty input still produces one row.
-      if (group_keys.empty() && merged_keys.empty()) {
-        merged_keys.push_back(Row{});
-        std::vector<AggAccumulator> accs;
-        for (const AggregateCall& call : agg_calls) accs.emplace_back(call);
-        merged_accs.push_back(std::move(accs));
-      }
-      state->out_rows.reserve(merged_keys.size());
-      for (size_t g = 0; g < merged_keys.size(); ++g) {
-        Row result = std::move(merged_keys[g]);
-        result.reserve(result.size() + agg_calls.size());
-        for (const AggAccumulator& acc : merged_accs[g]) {
-          result.push_back(acc.Finish());
-        }
-        state->out_rows.push_back(std::move(result));
+        state->merged = std::move(builders[0]);
+      } else {
+        CALCITE_RETURN_IF_ERROR(MergeLocalAggs(agg_calls, &locals, state.get()));
       }
       state->built = true;
+    }
+    if (state->merged != nullptr) {
+      return state->merged->EmitBatch(batch_size);
     }
     RowBatch out;
     size_t n = std::min(batch_size, state->out_rows.size() - state->pos);
@@ -723,7 +581,7 @@ struct BuildPartition {
 /// the per-partition hash tables (each written by exactly one build task,
 /// read by every probe worker), and the matched flags outer joins need.
 struct ParallelJoinShared {
-  FragmentSource probe;
+  FragmentSourcePtr probe;
   RelNodePtr self;        // pins condition / row types
   RelNodePtr build_node;  // right input, drained serially
   std::vector<std::pair<int, int>> keys;
@@ -831,102 +689,92 @@ Status BuildPartitionedTable(ParallelJoinShared* shared,
   return Status::OK();
 }
 
-/// Probe worker: stream left morsels through the fragment's filter/project
-/// chain, probe the read-only partition tables, emit per the join type.
-void RunProbeWorker(const ParallelJoinShared& shared, QueryCancelState* cancel,
-                    ExchangeQueue* queue, MorselSource* morsels,
-                    size_t batch_size) {
-  const std::vector<Row>& rows = *shared.probe.rows;
-  RowBatch out;
-  std::vector<Row> key_scratch;
-  std::vector<uint64_t> hash_scratch;
-  std::vector<int64_t> i64_scratch;
-  // Hands accumulated output to the exchange in <= batch_size chunks.
-  auto flush = [&]() -> bool {
-    size_t pos = 0;
-    while (pos < out.size()) {
-      size_t n = std::min(batch_size, out.size() - pos);
-      auto first = out.begin() + static_cast<ptrdiff_t>(pos);
-      RowBatch chunk(std::make_move_iterator(first),
-                     std::make_move_iterator(first + static_cast<ptrdiff_t>(n)));
-      pos += n;
-      if (!queue->Push(std::move(chunk))) return false;
-    }
-    out.clear();
-    return true;
-  };
-  while (!cancel->cancelled()) {
-    auto morsel = morsels->Next();
-    if (!morsel.has_value()) break;
-    size_t pos = morsel->begin;
-    while (pos < morsel->end) {
-      if (cancel->cancelled()) return;
-      size_t n = std::min(batch_size, morsel->end - pos);
-      SelBatch batch;
-      batch.rows.assign(rows.begin() + static_cast<ptrdiff_t>(pos),
-                        rows.begin() + static_cast<ptrdiff_t>(pos + n));
-      pos += n;
-      Status status = ApplyStagesSel(shared.probe.stages, &batch);
-      if (!status.ok()) {
-        cancel->Cancel(std::move(status));
-        queue->Cancel();
-        return;
+/// Worker-local buffers of the probe loop, reused batch to batch.
+struct ProbeScratch {
+  std::vector<Row> keys;
+  std::vector<uint64_t> hashes;
+  std::vector<int64_t> i64;
+};
+
+/// Probes the live rows of one left batch against the read-only partition
+/// tables and appends the output per the join type to `out`. Join keys are
+/// read straight off the key columns and hashed in one block; the full
+/// left row is boxed only when the row emits output.
+Status ProbeBatch(const ParallelJoinShared& shared, const ColumnBatch& cols,
+                  ProbeScratch* scratch, RowBatch* out) {
+  const size_t active = cols.ActiveCount();
+  // An empty Row marks a NULL-keyed row that can never match.
+  scratch->keys.resize(active);
+  for (size_t k = 0; k < active; ++k) {
+    const size_t i = cols.ActiveIndex(k);
+    Row& key = scratch->keys[k];
+    key.clear();
+    for (const auto& [l, r] : shared.keys) {
+      (void)r;
+      const ColumnVector& c = cols.cols[static_cast<size_t>(l)];
+      if (c.IsNullAt(i)) {
+        key.clear();
+        break;
       }
-      // Probe only the live rows — the selection an upstream filter stage
-      // left behind is consumed here, with no compaction in between.
-      const size_t active = batch.ActiveCount();
-      // Extract and hash every live key in one block before probing (an
-      // empty Row marks a NULL-keyed row that can never match).
-      key_scratch.clear();
-      key_scratch.reserve(active);
-      for (size_t k = 0; k < active; ++k) {
-        auto key = JoinSideKey(batch.ActiveRow(k), shared.keys,
-                               /*left_side=*/true);
-        key_scratch.push_back(key.has_value() ? std::move(*key) : Row());
-      }
-      HashKeyBlock(key_scratch, &hash_scratch, &i64_scratch);
-      for (size_t k = 0; k < active; ++k) {
-        Row& lrow = batch.ActiveRow(k);
-        const Row& key = key_scratch[k];
-        bool matched = false;
-        if (!key.empty()) {
-          const uint64_t h = hash_scratch[k];
-          const BuildPartition& part = shared.tables[h % shared.partitions];
-          auto it = part.index.find(h);
-          if (it != part.index.end()) {
-            for (uint32_t eid : it->second) {
-              if (!(part.entries[eid].first == key)) continue;  // collision
-              const size_t ri = part.entries[eid].second;
-              Row combined = ConcatRows(lrow, shared.right_data[ri]);
-              bool pass = true;
-              for (const RexNodePtr& pred : shared.remaining) {
-                auto result = RexInterpreter::EvalPredicate(pred, combined);
-                if (!result.ok()) {
-                  cancel->Cancel(result.status());
-                  queue->Cancel();
-                  return;
-                }
-                if (!result.value()) {
-                  pass = false;
-                  break;
-                }
-              }
-              if (!pass) continue;
-              matched = true;
-              shared.right_matched[ri].store(true, std::memory_order_relaxed);
-              if (JoinEmitsCombinedRows(shared.join_type)) {
-                out.push_back(std::move(combined));
-              }
-              if (shared.join_type == JoinType::kSemi) break;
-            }
-          }
-        }
-        JoinEmitPerLeftRow(shared.join_type, matched, std::move(lrow),
-                           shared.right_width, &out);
-      }
-      if (!flush()) return;
+      key.push_back(c.GetValue(i));
     }
   }
+  HashKeyBlock(scratch->keys, &scratch->hashes, &scratch->i64);
+  for (size_t k = 0; k < active; ++k) {
+    const size_t i = cols.ActiveIndex(k);
+    const Row& key = scratch->keys[k];
+    Row lrow;
+    bool have_lrow = false;
+    auto left_row = [&]() -> Row& {
+      if (!have_lrow) {
+        lrow = cols.GatherRow(i);
+        have_lrow = true;
+      }
+      return lrow;
+    };
+    bool matched = false;
+    if (!key.empty()) {
+      const uint64_t h = scratch->hashes[k];
+      const BuildPartition& part = shared.tables[h % shared.partitions];
+      auto it = part.index.find(h);
+      if (it != part.index.end()) {
+        for (uint32_t eid : it->second) {
+          if (!(part.entries[eid].first == key)) continue;  // collision
+          const size_t ri = part.entries[eid].second;
+          Row combined = ConcatRows(cols, i, shared.right_data[ri]);
+          bool pass = true;
+          for (const RexNodePtr& pred : shared.remaining) {
+            CALCITE_ASSIGN_OR_RETURN(pass,
+                                     RexInterpreter::EvalPredicate(pred, combined));
+            if (!pass) break;
+          }
+          if (!pass) continue;
+          matched = true;
+          shared.right_matched[ri].store(true, std::memory_order_relaxed);
+          if (JoinEmitsCombinedRows(shared.join_type)) {
+            out->push_back(std::move(combined));
+          }
+          if (shared.join_type == JoinType::kSemi) break;
+        }
+      }
+    }
+    JoinEmitPerLeftRow(shared.join_type, matched, left_row, shared.right_width,
+                       out);
+  }
+  return Status::OK();
+}
+
+/// Hands accumulated output to the exchange in <= batch_size chunks.
+void PushChunks(RowBatch* out, size_t batch_size, ExchangeQueue* queue) {
+  for (size_t pos = 0; pos < out->size();) {
+    const size_t n = std::min(batch_size, out->size() - pos);
+    auto first = out->begin() + static_cast<ptrdiff_t>(pos);
+    RowBatch chunk(std::make_move_iterator(first),
+                   std::make_move_iterator(first + static_cast<ptrdiff_t>(n)));
+    pos += n;
+    if (!queue->Push(std::move(chunk))) break;
+  }
+  out->clear();
 }
 
 /// Consumer-side tail of a RIGHT/FULL join: emitted after the gather
@@ -944,7 +792,7 @@ Result<RowBatchPuller> ExecuteHashJoinParallel(
   const size_t threads = opts.num_threads;
   const size_t batch_size = opts.batch_size;
   auto shared = std::make_shared<ParallelJoinShared>();
-  shared->probe = std::move(probe);
+  shared->probe = std::make_shared<const FragmentSource>(std::move(probe));
   shared->self = join.shared_from_this();
   shared->build_node = join.input(1);
   shared->keys = std::move(keys);
@@ -956,26 +804,31 @@ Result<RowBatchPuller> ExecuteHashJoinParallel(
 
   auto cancel = std::make_shared<QueryCancelState>();
   auto queue = std::make_shared<ExchangeQueue>(threads * 2, threads);
-  ExecOptions opts_copy = opts;
   auto start = [shared, cancel, queue, threads, batch_size,
-                opts_copy]() -> std::shared_ptr<TaskScheduler> {
+                opts]() -> std::shared_ptr<TaskScheduler> {
     auto scheduler = std::make_shared<TaskScheduler>(threads);
-    Status status = shared->probe.Materialize();
-    if (status.ok()) {
-      status = BuildPartitionedTable(shared.get(), scheduler.get(), opts_copy);
-    }
+    Status status = BuildPartitionedTable(shared.get(), scheduler.get(), opts);
     if (!status.ok()) {
       cancel->Cancel(std::move(status));
       queue->Cancel();
       return scheduler;  // idle; the gather still joins it
     }
-    auto morsels = std::make_shared<MorselSource>(
-        shared->probe.rows->size(),
-        PickMorselSize(shared->probe.rows->size(), threads));
+    auto morsels = shared->probe->Morsels(threads);
     for (size_t t = 0; t < threads; ++t) {
-      scheduler->Submit([shared, cancel, queue, morsels, batch_size]() {
-        RunProbeWorker(*shared, cancel.get(), queue.get(), morsels.get(),
-                       batch_size);
+      scheduler->Submit([shared, cancel, queue, morsels, batch_size, opts]() {
+        MorselRunner runner(shared->probe, opts);
+        ProbeScratch scratch;
+        RowBatch out;
+        DriveWorker(&runner, morsels.get(), cancel.get(),
+                    [&](MorselBatch&& batch) -> Status {
+                      CALCITE_ASSIGN_OR_RETURN(
+                          ColumnBatch cols, runner.Columns(std::move(batch)));
+                      CALCITE_RETURN_IF_ERROR(
+                          ProbeBatch(*shared, cols, &scratch, &out));
+                      PushChunks(&out, batch_size, queue.get());
+                      return Status::OK();
+                    });
+        if (cancel->cancelled()) queue->Cancel();
         queue->ProducerDone();
       });
     }

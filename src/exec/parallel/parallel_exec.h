@@ -21,9 +21,12 @@ namespace calcite {
 ///
 /// Parallel physical paths:
 ///  - Morsel-driven pipelines: (Filter|Project)* over a TableScan or Values
-///    leaf. Workers claim row-range morsels of the leaf atomically, run the
-///    whole filter/project chain morsel-at-a-time, and exchange surviving
-///    batches to the consumer.
+///    leaf. Workers claim morsels of the leaf atomically — row ranges of a
+///    columnar cache, or scan units (page runs) of a paged table, opened
+///    with the bottom filter's pushed conjuncts — run the whole
+///    filter/project chain morsel-at-a-time over ColumnBatches through
+///    FusedExpr, box the survivors and exchange them to the consumer.
+///    Tables with neither surface stay serial.
 ///  - Partitioned hash aggregate: the same pipeline shape under an
 ///    Aggregate. Workers build thread-local hash-aggregation states over
 ///    their morsels; the consumer merges them (accumulator merge, not

@@ -57,14 +57,6 @@ struct ExecOptions {
   /// unordered fragments for throughput.
   size_t num_threads = 1;
 
-  /// When true (the default), eligible serial plan fragments run on the
-  /// column-major ColumnBatch path (exec/column_batch.h): leaf scans
-  /// produce typed column views, filters/projections run the columnar
-  /// kernels, and rows are only materialized at the conversion boundary.
-  /// Turning it off forces the row-major path everywhere; the differential
-  /// parity suite executes every query both ways.
-  bool enable_columnar = true;
-
   /// When true (the default), columnar expression evaluation lowers whole
   /// RexNode trees into flat register-allocated bytecode programs
   /// (rex/rex_fuse.h) executed block-at-a-time against the SIMD kernels,
@@ -78,9 +70,7 @@ struct ExecOptions {
 
   /// Access-path hint handed to every leaf scan (via ScanSpec). kAuto is
   /// the cost-based default; the forced settings exist for benchmarks,
-  /// plan-stability debugging, and the differential parity suites. This
-  /// replaces the old per-table DiskTable::set_index_scan_enabled escape
-  /// hatch, which survives only as a deprecated shim.
+  /// plan-stability debugging, and the differential parity suites.
   AccessPath access_path = AccessPath::kAuto;
 
   /// Both knobs clamped to their valid range: a zero batch_size would make
@@ -110,78 +100,24 @@ struct ExecOptions {
 /// filter that eliminates a whole input chunk keeps pulling until it has at
 /// least one surviving row or its input ends). Errors abort the stream.
 ///
-/// RowBatch is no longer the only batch currency: the hot path ships
-/// column-major ColumnBatch (exec/column_batch.h) — typed column vectors
-/// plus null bytemaps, bump-allocated from a per-query arena and freed
-/// wholesale — between converted operators (scan, filter, project,
-/// hash-aggregate, hash-join probe, the morsel-parallel exchange). A
-/// RowBatchPuller is the *conversion boundary*: operators that still think
-/// in rows (sort, outer-join emit, set ops, window, QueryResult) pull row
-/// batches, and a columnar producer boxes its active rows through
-/// ColumnsToRows exactly once at that boundary. Arena lifetime rule: a
-/// ColumnBatch shares ownership of everything its columns point into
-/// (arena, boxed pool, pinned table caches), so a row batch built from it
-/// owns plain Values and has no lifetime ties.
+/// RowBatch is the currency of operators that evaluate no expressions
+/// (sort, nested-loop join, set ops, window, values, adapters, the
+/// multi-key aggregate) and of QueryResult. Expressions are evaluated only
+/// over column-major ColumnBatch (exec/column_batch.h) — typed column
+/// vectors plus null bytemaps, bump-allocated from a per-query arena —
+/// which scan, filter, project, hash-aggregate, hash-join probe and the
+/// morsel workers exchange. Row producers enter that path through one
+/// rows->columns leaf (RowsToColumns), and a columnar producer boxes its
+/// active rows through ColumnsToRows once where a row consumer pulls it.
+/// Arena lifetime rule: a ColumnBatch shares ownership of everything its
+/// columns point into (arena, boxed pool, pinned rows and table caches), so
+/// a row batch built from it owns plain Values and has no lifetime ties.
 using RowBatchPuller = std::function<Result<RowBatch>()>;
 
-/// Indexes of the rows of a batch that satisfy a predicate, ascending.
-/// The batch-granularity analogue of a boolean column: filters narrow it
-/// (RexInterpreter::NarrowSelection) and hand it downstream in a SelBatch
-/// instead of compacting, so survivors are only ever moved once.
+/// Indexes of the rows of a batch that satisfy a predicate, ascending —
+/// the selection a ColumnBatch (exec/column_batch.h) carries so filters
+/// narrow it instead of compacting the batch.
 using SelectionVector = std::vector<uint32_t>;
-
-/// A batch plus an optional selection vector naming its live rows. This is
-/// the currency of the selection-aware pipeline (ExecuteSelBatched): a
-/// filter narrows `sel` instead of physically compacting `rows`, and the
-/// downstream operator (project, aggregate, join probe, exchange) iterates
-/// only the selected indexes. Compaction — the per-row moves the selection
-/// vector exists to avoid — happens at most once per batch, at the first
-/// consumer that needs physically dense rows.
-///
-/// Invariants: when `has_sel` is true, `sel` holds strictly ascending,
-/// in-range indexes into `rows`; when false, every row is live. End of
-/// stream is `rows.empty()`; like the RowBatchPuller contract, producers
-/// never yield a mid-stream batch with zero live rows (a filter that kills
-/// a whole chunk keeps pulling).
-struct SelBatch {
-  RowBatch rows;
-  SelectionVector sel;
-  bool has_sel = false;
-
-  size_t ActiveCount() const { return has_sel ? sel.size() : rows.size(); }
-  bool AtEnd() const { return rows.empty(); }
-
-  /// The k-th live row (k < ActiveCount()).
-  Row& ActiveRow(size_t k) {
-    return has_sel ? rows[sel[k]] : rows[k];
-  }
-  const Row& ActiveRow(size_t k) const {
-    return has_sel ? rows[sel[k]] : rows[k];
-  }
-
-  /// Makes an identity selection explicit so a filter can narrow it.
-  void EnsureSelection() {
-    if (has_sel) return;
-    sel.resize(rows.size());
-    for (uint32_t i = 0; i < rows.size(); ++i) sel[i] = i;
-    has_sel = true;
-  }
-
-  /// Physically keeps only the selected rows and drops the selection.
-  void Compact();
-};
-
-/// Selection-aware analogue of RowBatchPuller. An AtEnd() batch marks end
-/// of stream; errors abort the stream.
-using SelBatchPuller = std::function<Result<SelBatch>()>;
-
-/// Bridges a compact batch stream into the selection-aware protocol (every
-/// batch arrives with all rows live).
-SelBatchPuller LiftToSelBatches(RowBatchPuller puller);
-
-/// Bridges back: compacts each selection-carrying batch into a plain
-/// RowBatch stream honouring the producers-never-yield-empty contract.
-RowBatchPuller CompactSelBatches(SelBatchPuller puller);
 
 /// A predicate simple enough for a leaf scan to evaluate on its stored rows
 /// *before* materializing them into a batch: `column <op> literal` or a
@@ -303,9 +239,6 @@ RowBatchPuller SliceRows(const std::vector<Row>& rows, size_t batch_size);
 /// Materializes a batch stream (the terminal step under the unchanged
 /// QueryResult API).
 Result<std::vector<Row>> DrainBatches(const RowBatchPuller& puller);
-
-/// Keeps the rows of `batch` selected by `sel`, in order, in place.
-void CompactBatch(RowBatch* batch, const SelectionVector& sel);
 
 }  // namespace calcite
 

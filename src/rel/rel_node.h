@@ -138,30 +138,13 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
         [self, puller]() -> Result<RowBatch> { return puller(); });
   }
 
-  /// Selection-aware batch execution: like ExecuteBatched, but each yielded
-  /// batch may carry a selection vector naming its live rows, so a filter
-  /// can hand its selection to the consumer instead of physically
-  /// compacting the batch. Selection-aware consumers (project, aggregate,
-  /// join probes, the morsel-parallel exchange) iterate only the selected
-  /// indexes; everything else bridges through CompactSelBatches. The
-  /// default lifts ExecuteBatched's compact batches (all rows live), so
-  /// only operators that benefit — today the enumerable Filter — override
-  /// it. Same ownership contract as ExecuteBatched.
-  virtual Result<SelBatchPuller> ExecuteSelBatched(
-      const ExecOptions& opts) const {
-    auto batched = ExecuteBatched(opts);
-    if (!batched.ok()) return batched.status();
-    return LiftToSelBatches(std::move(batched).value());
-  }
-
-  /// Columnar batch execution: when this operator can produce its output as
-  /// column-major ColumnBatch streams natively (zero row materialization),
-  /// it returns a puller; nullopt means "no native columnar path" and the
-  /// caller stays on the row protocol. Only the converted enumerable
-  /// operators (table scan over columnar-capable tables, filter, project)
-  /// override this; consumers (aggregate, join probe, the conversion
-  /// boundary) probe their input with it. Implementations must respect
-  /// opts.enable_columnar and return nullopt when it is off. Same ownership
+  /// Columnar batch execution: when this operator produces its output as
+  /// column-major ColumnBatch streams natively, it returns a puller;
+  /// nullopt means "rows are this operator's native output", and a
+  /// columnar consumer converts its ExecuteBatched stream through the one
+  /// rows->columns leaf (RowsToColumnsPuller). Scan (over tables with a
+  /// columnar cache), filter and project override this; every expression
+  /// the engine evaluates is evaluated over these batches. Same ownership
   /// contract as ExecuteBatched: the puller shares ownership of the node,
   /// and each yielded batch owns (or pins) everything its columns point
   /// into.

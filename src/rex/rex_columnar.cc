@@ -9,6 +9,7 @@
 #include "exec/simd.h"
 #include "rex/operator.h"
 #include "rex/rex_interpreter.h"
+#include "rex/rex_util.h"
 
 namespace calcite {
 namespace {
@@ -542,14 +543,40 @@ Status EvalDense(Ctx& ctx, const RexNodePtr& node, ColumnVector* res) {
   return Status::Internal("unknown rex node kind");
 }
 
-/// Gathers the active rows and evaluates per-row — the semantic anchor for
+/// The row the per-row fallbacks hand to RexInterpreter: one scratch Row
+/// as wide as the batch, reused for every row, with only the columns the
+/// expression references refreshed (refs past the width stay unfilled, so
+/// Eval raises its usual out-of-range error).
+class FallbackRow {
+ public:
+  FallbackRow(const RexNodePtr& node, const ColumnBatch& batch)
+      : batch_(batch), row_(batch.cols.size()) {
+    for (int ref : RexUtil::InputRefs(node)) {
+      if (ref >= 0 && static_cast<size_t>(ref) < row_.size()) {
+        refs_.push_back(static_cast<size_t>(ref));
+      }
+    }
+  }
+
+  const Row& At(size_t i) {
+    for (size_t c : refs_) row_[c] = batch_.cols[c].GetValue(i);
+    return row_;
+  }
+
+ private:
+  const ColumnBatch& batch_;
+  Row row_;
+  std::vector<size_t> refs_;
+};
+
+/// Evaluates per row over the active rows — the semantic anchor for
 /// everything the typed kernels do not cover.
 Status FallbackDense(Ctx& ctx, const RexNodePtr& node, ColumnVector* res) {
   auto vals = std::make_shared<std::vector<Value>>();
   vals->reserve(ctx.n);
+  FallbackRow row(node, ctx.in);
   for (size_t k = 0; k < ctx.n; ++k) {
-    Row row = ctx.in.GatherRow(ctx.in.ActiveIndex(k));
-    auto v = RexInterpreter::Eval(node, row);
+    auto v = RexInterpreter::Eval(node, row.At(ctx.in.ActiveIndex(k)));
     if (!v.ok()) return v.status();
     vals->push_back(std::move(v).value());
   }
@@ -722,8 +749,7 @@ Status RexColumnar::NarrowSelection(const RexNodePtr& node,
   if (sel->empty()) return Status::OK();
 
   // Conjunctions narrow progressively: later conjuncts only see earlier
-  // survivors, so their evaluation errors on dropped rows are suppressed —
-  // identical to RexInterpreter::NarrowSelection.
+  // survivors, so their evaluation errors on dropped rows are suppressed.
   if (const RexCall* call = AsCall(node)) {
     if (call->op() == OpKind::kAnd) {
       for (const RexNodePtr& operand : call->operands()) {
@@ -776,9 +802,9 @@ Status RexColumnar::NarrowSelection(const RexNodePtr& node,
 
   // Row-oracle fallback over the candidate rows only.
   size_t out = 0;
+  FallbackRow row(node, batch);
   for (size_t k = 0; k < sel->size(); ++k) {
-    Row row = batch.GatherRow((*sel)[k]);
-    auto pass = RexInterpreter::EvalPredicate(node, row);
+    auto pass = RexInterpreter::EvalPredicate(node, row.At((*sel)[k]));
     if (!pass.ok()) return pass.status();
     if (pass.value()) (*sel)[out++] = (*sel)[k];
   }

@@ -10,8 +10,9 @@
 
 namespace calcite {
 
-/// Columnar expression kernels: the RexInterpreter's fused batch loops
-/// rewritten as tight loops over contiguous typed columns. Semantics are
+/// Columnar expression kernels: per-node tight loops over contiguous typed
+/// columns, the tier FusedExpr falls back to for trees it cannot lower.
+/// Semantics are
 /// identical to per-row Eval — SQL three-valued logic, NULL-strict
 /// arithmetic with the NULL check before the division-by-zero check, errors
 /// raised only for rows in the active selection — which the differential
@@ -47,8 +48,8 @@ class RexColumnar {
   /// in place. Conjunctions narrow progressively; ref-vs-literal
   /// comparisons and NULL tests run as fused typed loops on the raw
   /// columns; other supported predicates evaluate densely into `scratch`
-  /// (reset by the caller between batches); everything else gathers rows
-  /// and asks the row oracle. Mirrors RexInterpreter::NarrowSelection.
+  /// (reset by the caller between batches); everything else asks the row
+  /// oracle (RexInterpreter::EvalPredicate) row by row.
   static Status NarrowSelection(const RexNodePtr& node,
                                 const ColumnBatch& batch,
                                 const ArenaPtr& scratch,

@@ -1,5 +1,8 @@
 #include "util/status.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 namespace calcite {
 
 const char* StatusCodeName(StatusCode code) {
@@ -32,6 +35,12 @@ std::string Status::ToString() const {
   result += ": ";
   result += message_;
   return result;
+}
+
+void AbortOnErrorValue(const Status& status) {
+  std::fprintf(stderr, "Result::value() called on an error: %s\n",
+               status.ToString().c_str());
+  std::abort();
 }
 
 }  // namespace calcite

@@ -75,8 +75,14 @@ class Status {
   std::string message_;
 };
 
+/// Prints `status` to stderr and aborts: the fate of Result::value() on an
+/// error, in every build type (an assert would compile away under NDEBUG
+/// and leave the access undefined).
+[[noreturn]] void AbortOnErrorValue(const Status& status);
+
 /// A value-or-error result, modeled after absl::StatusOr. Holds either a T
-/// (when status().ok()) or an error Status.
+/// (when status().ok()) or an error Status. value() on an error aborts with
+/// the status text.
 template <typename T>
 class Result {
  public:
@@ -93,15 +99,15 @@ class Result {
   const Status& status() const { return status_; }
 
   const T& value() const& {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T& value() & {
-    assert(ok());
+    CheckOk();
     return *value_;
   }
   T&& value() && {
-    assert(ok());
+    CheckOk();
     return std::move(*value_);
   }
 
@@ -111,6 +117,10 @@ class Result {
   T* operator->() { return &value(); }
 
  private:
+  void CheckOk() const {
+    if (!ok()) AbortOnErrorValue(status_);
+  }
+
   Status status_;
   std::optional<T> value_;
 };

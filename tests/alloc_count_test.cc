@@ -127,7 +127,6 @@ TEST(AllocCountTest, ColumnarHotPathDoesNoPerRowAllocation) {
   // Columnar pipeline: ExecuteBatched builds the plumbing (and the table's
   // columnar decomposition) eagerly; only the drain is measured.
   ExecOptions opts;
-  ASSERT_TRUE(opts.enable_columnar);
   auto columnar = plan->ExecuteBatched(opts);
   ASSERT_TRUE(columnar.ok());
   auto [col_rows, col_allocs] = DrainCounted(columnar.value());
@@ -139,17 +138,15 @@ TEST(AllocCountTest, ColumnarHotPathDoesNoPerRowAllocation) {
   // exists to catch.
   EXPECT_LT(col_allocs, 5000u) << "columnar hot path allocates per row";
 
-  // The row path over the same plan boxes every surviving row (90k pass the
-  // pushed filter): its allocation count scales with the row count, the
-  // contrast that makes the bound above meaningful.
-  ExecOptions row_opts;
-  row_opts.enable_columnar = false;
-  auto row_path = plan->ExecuteBatched(row_opts);
-  ASSERT_TRUE(row_path.ok());
-  auto [row_rows, row_allocs] = DrainCounted(row_path.value());
-  EXPECT_EQ(row_rows, 8u);
-  EXPECT_GT(row_allocs, size_t{80000});
-  EXPECT_GT(row_allocs, col_allocs * 20);
+  // A row consumer directly above the filter gets every survivor boxed (90k
+  // pass the pushed filter): that allocation count scales with the row
+  // count, the contrast that makes the bound above meaningful.
+  auto boxed = filtered->ExecuteBatched(opts);
+  ASSERT_TRUE(boxed.ok());
+  auto [boxed_rows, boxed_allocs] = DrainCounted(boxed.value());
+  EXPECT_EQ(boxed_rows, 90000u);
+  EXPECT_GT(boxed_allocs, size_t{80000});
+  EXPECT_GT(boxed_allocs, col_allocs * 20);
 }
 
 // The fused bytecode interpreter's memory claim: evaluating a whole

@@ -55,9 +55,11 @@ std::vector<Row> MakeRows(size_t n) {
 }
 
 Result<std::vector<Row>> RunBatched(const RelNodePtr& node,
-                                    size_t batch_size) {
+                                    size_t batch_size,
+                                    AccessPath access_path = AccessPath::kAuto) {
   ExecOptions opts;
   opts.batch_size = batch_size;
+  opts.access_path = access_path;
   auto puller = node->ExecuteBatched(opts);
   if (!puller.ok()) return puller.status();
   // Drain by hand so the batching discipline itself is checked: every
@@ -524,7 +526,7 @@ TEST_F(BatchParityTest, FilterUnderAggregateSelectionParity) {
       c.name = "cntd_k";
       calls.push_back(c);
     }
-    // Global: COUNT(*) must count only the selected rows (AddBatchSel).
+    // Global: COUNT(*) must count only the selected rows.
     {
       auto row_type = DeriveAggregateRowType(rt, {}, calls, tf_);
       ExpectParity(EnumerableAggregate::Create(filtered, {}, calls, row_type),
@@ -682,14 +684,11 @@ TEST_F(BatchParityTest, DiskTablePushdownParity) {
       std::string label = "DiskPushdown n=" + std::to_string(n) +
                           " cond=" + std::to_string(ci);
 
-      (*disk_table)->set_index_scan_enabled(true);
-      ExpectParity(disk_plan, label + " (index on)");
+      ExpectParity(disk_plan, label + " (auto)");
       for (size_t bs : {size_t{1}, size_t{3}, size_t{1024}}) {
-        (*disk_table)->set_index_scan_enabled(true);
-        auto via_index = RunBatched(disk_plan, bs);
+        auto via_index = RunBatched(disk_plan, bs, AccessPath::kForceIndex);
         ASSERT_TRUE(via_index.ok()) << label;
-        (*disk_table)->set_index_scan_enabled(false);
-        auto via_heap = RunBatched(disk_plan, bs);
+        auto via_heap = RunBatched(disk_plan, bs, AccessPath::kForceHeap);
         ASSERT_TRUE(via_heap.ok()) << label;
         auto via_mem = RunBatched(mem_plan, bs);
         ASSERT_TRUE(via_mem.ok()) << label;
@@ -700,7 +699,6 @@ TEST_F(BatchParityTest, DiskTablePushdownParity) {
         ExpectSameRows(via_mem.value(), oracle,
                        label + " mem bs=" + std::to_string(bs));
       }
-      (*disk_table)->set_index_scan_enabled(true);
 
       // 4-way parallel: workers claim page runs as morsels; order within
       // the fragment is unspecified, so compare as sorted multisets.

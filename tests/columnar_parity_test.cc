@@ -1,16 +1,18 @@
 // Differential tests of the columnar execution path: every operator that
-// was converted to the ColumnBatch currency (scan, filter, project,
-// hash aggregate, hash join probe, and the morsel-parallel pipelines) must
-// produce byte-identical results with `enable_columnar` on and off, across
-// cardinalities that straddle the batch boundary (0 / 1 / 1023 / 1024 /
-// 1025), NULL-heavy data, and num_threads ∈ {1, 4} (parallel plans compare
-// as multisets — unordered fragments do not promise an order). A SQL-level
-// differential runs whole optimized plans both ways, and unit packs cover
-// the arena allocator, the table column decomposition, leaf predicate
-// pushdown on raw columns, the row/column conversion boundary, and the
-// ExecOptions normalization clamps. A fusion axis runs SQL plans and leaf
-// scans with `enable_fusion` (the tree-fusing bytecode interpreter plus
-// scan range fusion, rex/rex_fuse.h) on and off, which must be invisible.
+// evaluates expressions over ColumnBatches (scan, filter, project, hash
+// aggregate, hash join probe, and the morsel-parallel pipelines) must
+// produce byte-identical results to a test-local per-row evaluator
+// (row_oracle.h: RexInterpreter::Eval / EvalPredicate over the table rows),
+// across cardinalities that straddle the batch boundary (0 / 1 / 1023 /
+// 1024 / 1025), NULL-heavy data, and num_threads ∈ {1, 4} (parallel plans
+// compare as multisets — unordered fragments do not promise an order). A
+// SQL-level differential runs whole optimized plans across threads and
+// batch sizes against hand-checked baselines, and unit packs cover the
+// arena allocator, the table column decomposition, leaf predicate pushdown
+// on raw columns, the row/column conversion boundary, and the ExecOptions
+// normalization clamps. A fusion axis runs SQL plans and leaf scans with
+// `enable_fusion` (the tree-fusing bytecode interpreter plus scan range
+// fusion, rex/rex_fuse.h) on and off, which must be invisible.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +30,7 @@
 #include "exec/simd.h"
 #include "rel/core.h"
 #include "rex/rex_builder.h"
+#include "row_oracle.h"
 #include "storage/disk_table.h"
 #include "test_schema.h"
 #include "tools/frameworks.h"
@@ -86,20 +89,16 @@ std::vector<std::string> Strings(const std::vector<Row>& rows) {
   return out;
 }
 
-/// Runs `node` with the columnar path disabled (the row engine, the
-/// reference) and asserts the columnar path produces identical rows at
-/// several batch sizes, then that 4-way parallel execution — columnar and
-/// row — produces the same multiset of rows.
+/// Evaluates `node` with the per-row oracle (the reference) and asserts the
+/// engine produces identical rows at several batch sizes, then that 4-way
+/// parallel execution, fused and unfused, produces the same multiset.
 void ExpectColumnarParity(const RelNodePtr& node, const std::string& label) {
-  ExecOptions row_opts;
-  row_opts.enable_columnar = false;
-  auto base = RunPlan(node, row_opts);
+  auto base = testing::OracleRows(node);
   ASSERT_TRUE(base.ok()) << label << ": " << base.status().ToString();
   std::vector<std::string> want = Strings(base.value());
 
   for (size_t bs : {size_t{1}, size_t{3}, size_t{1023}, size_t{1024}}) {
     ExecOptions col_opts;
-    col_opts.enable_columnar = true;
     col_opts.batch_size = bs;
     auto got = RunPlan(node, col_opts);
     ASSERT_TRUE(got.ok()) << label << " bs=" << bs << ": "
@@ -113,17 +112,16 @@ void ExpectColumnarParity(const RelNodePtr& node, const std::string& label) {
 
   std::vector<std::string> want_sorted = want;
   std::sort(want_sorted.begin(), want_sorted.end());
-  for (bool columnar : {true, false}) {
+  for (bool fusion : {true, false}) {
     ExecOptions par_opts;
-    par_opts.enable_columnar = columnar;
+    par_opts.enable_fusion = fusion;
     par_opts.num_threads = 4;
     auto got = RunPlan(node, par_opts);
-    ASSERT_TRUE(got.ok()) << label << " threads=4 columnar=" << columnar
-                          << ": " << got.status().ToString();
+    ASSERT_TRUE(got.ok()) << label << " threads=4 fusion=" << fusion << ": "
+                          << got.status().ToString();
     std::vector<std::string> got_s = Strings(got.value());
     std::sort(got_s.begin(), got_s.end());
-    ASSERT_EQ(got_s, want_sorted)
-        << label << " threads=4 columnar=" << columnar;
+    ASSERT_EQ(got_s, want_sorted) << label << " threads=4 fusion=" << fusion;
   }
 }
 
@@ -401,12 +399,12 @@ TEST_F(ColumnarParityTest, PipelineScanFilterProjectAggregate) {
 
 TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
   // A DiskTable exposes no columnar decomposition (MaterializedColumns is
-  // nullptr — decomposing would pin the whole table in RAM), so columnar
-  // execution must transparently fall back to the row path and still match
-  // it exactly, serial and 4-way parallel, with the buffer pool far smaller
-  // than the table. Exercised bare and under a filter whose primary-key
-  // conjunct routes to the B-tree on the serial path, with the index both
-  // enabled and forced off.
+  // nullptr — decomposing would pin the whole table in RAM), so filters
+  // enter the columnar path through the rows->columns leaf over its
+  // OpenScan and must still match the oracle exactly, serial and 4-way
+  // parallel, with the buffer pool far smaller than the table. Exercised
+  // bare and under a filter whose primary-key conjunct routes to the
+  // B-tree on the serial path, with the index both forced and forced off.
   char tmpl[] = "/tmp/calcite_colpar_disk_XXXXXX";
   char* dir = mkdtemp(tmpl);
   ASSERT_NE(dir, nullptr);
@@ -422,7 +420,6 @@ TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
     ASSERT_TRUE((*table)->InsertRows(MakeRows(n)).ok());
     TypeFactory tf;
     EXPECT_EQ((*table)->MaterializedColumns(tf), nullptr);
-    EXPECT_EQ((*table)->MaterializedRows(), nullptr);
 
     RelNodePtr scan = ScanOf(*table);
     ExpectColumnarParity(scan, "DiskScan n=" + std::to_string(n));
@@ -435,12 +432,28 @@ TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
     ASSERT_TRUE(residual.ok());
     RelNodePtr filtered = EnumerableFilter::Create(
         scan, rex_.MakeAnd({key_range.value(), residual.value()}));
-    for (bool index_on : {true, false}) {
-      (*table)->set_index_scan_enabled(index_on);
-      ExpectColumnarParity(filtered, "DiskFilter n=" + std::to_string(n) +
-                                         " index=" + std::to_string(index_on));
+    for (AccessPath path : {AccessPath::kForceIndex, AccessPath::kForceHeap}) {
+      const std::string label = "DiskFilter n=" + std::to_string(n) +
+                                " path=" + std::to_string(static_cast<int>(path));
+      auto want = testing::OracleRows(filtered);
+      ASSERT_TRUE(want.ok()) << label;
+      for (size_t bs : {size_t{1}, size_t{1024}}) {
+        for (size_t threads : {size_t{1}, size_t{4}}) {
+          ExecOptions opts;
+          opts.access_path = path;
+          opts.batch_size = bs;
+          opts.num_threads = threads;
+          auto got = RunPlan(filtered, opts);
+          ASSERT_TRUE(got.ok()) << label << ": " << got.status().ToString();
+          std::vector<std::string> got_s = Strings(got.value());
+          std::vector<std::string> want_s = Strings(want.value());
+          std::sort(got_s.begin(), got_s.end());
+          std::sort(want_s.begin(), want_s.end());
+          ASSERT_EQ(got_s, want_s)
+              << label << " bs=" << bs << " threads=" << threads;
+        }
+      }
     }
-    (*table)->set_index_scan_enabled(true);
     EXPECT_EQ((*table)->buffer_pool().pinned_frames(), 0u);
   }
   std::error_code ec;
@@ -450,7 +463,7 @@ TEST_F(ColumnarParityTest, DiskTableScansBypassColumnarCache) {
 TEST_F(ColumnarParityTest, MutationInvalidatesColumnarCache) {
   auto table = std::make_shared<MemTable>(TestRowType(tf_), MakeRows(10));
   RelNodePtr scan = ScanOf(table);
-  ExecOptions opts;  // columnar on
+  ExecOptions opts;
   auto before = RunPlan(scan, opts);
   ASSERT_TRUE(before.ok());
   ASSERT_EQ(before.value().size(), 10u);
@@ -661,13 +674,12 @@ TEST(ExecOptionsTest, NormalizedClampsBothKnobs) {
   opts.batch_size = 777;  // in-range values pass through untouched
   norm = opts.Normalized();
   EXPECT_EQ(norm.batch_size, 777u);
-  EXPECT_TRUE(norm.enable_columnar);  // default stays on
 }
 
 // ------------------------- SQL-level differential ---------------------------
 //
-// Whole optimized plans must produce identical result grids with the
-// columnar path on and off, serial and 4-way parallel. Every query is
+// Whole optimized plans must produce identical result grids at batch size
+// 1 (row-at-a-time) and 1024, serial and 4-way parallel. Every query is
 // fully ordered (ORDER BY over a unique prefix, or a single aggregate
 // row), so even parallel grids compare byte-identically.
 
@@ -731,7 +743,7 @@ TEST_F(ColumnBatchTest, ScanRangeFusionMatchesUnfused) {
   }
 }
 
-TEST(ColumnarSqlTest, QueriesMatchWithColumnarOnAndOff) {
+TEST(ColumnarSqlTest, QueriesMatchAcrossBatchSizesAndThreads) {
   const std::vector<std::string> queries = {
       "SELECT * FROM sales ORDER BY saleid",
       "SELECT saleid, units FROM sales WHERE discount IS NOT NULL "
@@ -750,7 +762,7 @@ TEST(ColumnarSqlTest, QueriesMatchWithColumnarOnAndOff) {
   {
     Connection::Config config;
     config.schema = testing::MakeTestSchema();
-    config.exec_options.enable_columnar = false;
+    config.exec_options.batch_size = 1;
     Connection conn(std::move(config));
     for (const std::string& sql : queries) {
       auto result = conn.Query(sql);
@@ -759,13 +771,13 @@ TEST(ColumnarSqlTest, QueriesMatchWithColumnarOnAndOff) {
     }
   }
   struct Config {
-    bool columnar;
+    size_t batch_size;
     size_t threads;
   };
-  for (Config cfg : {Config{true, 1}, Config{true, 4}, Config{false, 4}}) {
+  for (Config cfg : {Config{1024, 1}, Config{1024, 4}, Config{1, 4}}) {
     Connection::Config config;
     config.schema = testing::MakeTestSchema();
-    config.exec_options.enable_columnar = cfg.columnar;
+    config.exec_options.batch_size = cfg.batch_size;
     config.exec_options.num_threads = cfg.threads;
     Connection conn(std::move(config));
     for (size_t q = 0; q < queries.size(); ++q) {
@@ -773,7 +785,7 @@ TEST(ColumnarSqlTest, QueriesMatchWithColumnarOnAndOff) {
       ASSERT_TRUE(result.ok())
           << queries[q] << ": " << result.status().ToString();
       EXPECT_EQ(result.value().ToTable(), baseline[q])
-          << queries[q] << " columnar=" << cfg.columnar
+          << queries[q] << " batch=" << cfg.batch_size
           << " threads=" << cfg.threads;
     }
   }

@@ -1,19 +1,17 @@
-// Randomized differential tests of the fused batch expression kernels
-// (RexInterpreter::EvalBatchSel / NarrowSelection) and their columnar
-// counterparts (RexColumnar::AppendEvalColumn / NarrowSelection): a small
+// Randomized differential tests of the columnar expression engines — the
+// per-node kernels (RexColumnar::AppendEvalColumn / NarrowSelection) and
+// the tree-fusing bytecode interpreter (rex/rex_fuse.h) — against the
+// per-row tree interpreter (RexInterpreter::Eval, the oracle): a small
 // seeded random generator builds typed expression trees — arithmetic,
-// comparison, logic, casts over columns with ~20% NULLs — and checks the
-// batch kernels byte-identical against the per-row tree interpreter
-// (RexInterpreter::Eval, the oracle) across batch sizes {1, 1023, 1024} and
+// comparison, logic, casts over columns with ~20% NULLs — and every tree
+// is a three-way differential, fused-vs-per-node-vs-per-row, under both
+// SIMD dispatch modes, across batch sizes {1, 1023, 1024, 1025} and
 // selection vectors of every shape (absent, empty, singleton, dense,
-// sparse). The columnar checks run the same trees over the typed column
-// decomposition of the same rows, so typed fast paths and the boxed
-// fallback are both diffed against row semantics — and every columnar
-// check additionally runs the tree-fusing bytecode interpreter
-// (rex/rex_fuse.h), making each tree a three-way differential:
-// fused-vs-per-node-vs-per-row, under both SIMD dispatch modes. A directed
-// ternary-NULL-semantics regression pack locks in the three-valued-logic
-// corners the kernels must preserve.
+// sparse). The columns are the typed decomposition of the same rows
+// (RowsToColumns), so typed fast paths and the boxed fallback are both
+// diffed against row semantics. A directed ternary-NULL-semantics
+// regression pack locks in the three-valued-logic corners the kernels must
+// preserve.
 //
 // The generator is error-free by construction (division and modulo only
 // ever take a non-zero literal divisor, casts never parse arbitrary
@@ -275,39 +273,6 @@ class RexKernelFuzzTest : public ::testing::Test {
     return shapes;
   }
 
-  /// EvalBatchSel vs per-row Eval over exactly the selected rows.
-  void CheckEval(const RexNodePtr& expr, const RowBatch& batch,
-                 const SelectionVector* sel, const std::string& label) {
-    std::vector<Value> got;
-    Status status = RexInterpreter::EvalBatchSel(expr, batch, sel, &got);
-    ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-    const size_t n = sel != nullptr ? sel->size() : batch.size();
-    ASSERT_EQ(got.size(), n) << label;
-    for (size_t k = 0; k < n; ++k) {
-      const Row& row = batch[sel != nullptr ? (*sel)[k] : k];
-      auto want = RexInterpreter::Eval(expr, row);
-      ASSERT_TRUE(want.ok()) << label << ": " << want.status().ToString();
-      ASSERT_EQ(got[k].ToString(), want.value().ToString())
-          << label << " row " << k << " expr " << expr->ToString();
-    }
-  }
-
-  /// NarrowSelection vs per-row EvalPredicate over the same candidates.
-  void CheckNarrow(const RexNodePtr& pred, const RowBatch& batch,
-                   const SelectionVector& candidates,
-                   const std::string& label) {
-    SelectionVector got = candidates;
-    Status status = RexInterpreter::NarrowSelection(pred, batch, &got);
-    ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-    SelectionVector want;
-    for (uint32_t idx : candidates) {
-      auto pass = RexInterpreter::EvalPredicate(pred, batch[idx]);
-      ASSERT_TRUE(pass.ok()) << label << ": " << pass.status().ToString();
-      if (pass.value()) want.push_back(idx);
-    }
-    ASSERT_EQ(got, want) << label << " pred " << pred->ToString();
-  }
-
   /// Decomposes `batch` into a typed ColumnBatch (the columnar engine's
   /// native input) using the fixture row type.
   ColumnBatch ToColumns(const RowBatch& batch) {
@@ -426,46 +391,6 @@ class RexKernelFuzzTest : public ::testing::Test {
   RelDataTypePtr row_type_;
 };
 
-TEST_F(RexKernelFuzzTest, EvalBatchMatchesPerRowOracle) {
-  std::mt19937 rng(20260729);
-  for (size_t n : {size_t{1}, size_t{1023}, size_t{1024}}) {
-    RowBatch batch = MakeBatch(n, &rng);
-    auto shapes = SelectionShapes(n);
-    for (int iter = 0; iter < 60 * FuzzScale(); ++iter) {
-      RexNodePtr expr = GenAny(&rng, 3);
-      for (size_t s = 0; s < shapes.size(); ++s) {
-        const SelectionVector* sel =
-            shapes[s].has_value() ? &*shapes[s] : nullptr;
-        CheckEval(expr, batch, sel,
-                  "n=" + std::to_string(n) + " iter=" + std::to_string(iter) +
-                      " sel=" + std::to_string(s));
-      }
-    }
-  }
-}
-
-TEST_F(RexKernelFuzzTest, NarrowSelectionMatchesPerRowOracle) {
-  std::mt19937 rng(987654321);
-  for (size_t n : {size_t{1}, size_t{1023}, size_t{1024}}) {
-    RowBatch batch = MakeBatch(n, &rng);
-    auto shapes = SelectionShapes(n);
-    for (int iter = 0; iter < 60 * FuzzScale(); ++iter) {
-      RexNodePtr pred = GenBool(&rng, 3);
-      for (size_t s = 0; s < shapes.size(); ++s) {
-        SelectionVector candidates;
-        if (shapes[s].has_value()) {
-          candidates = *shapes[s];
-        } else {
-          for (uint32_t i = 0; i < n; ++i) candidates.push_back(i);
-        }
-        CheckNarrow(pred, batch, candidates,
-                    "n=" + std::to_string(n) + " iter=" +
-                        std::to_string(iter) + " sel=" + std::to_string(s));
-      }
-    }
-  }
-}
-
 TEST_F(RexKernelFuzzTest, ColumnarEvalMatchesPerRowOracle) {
   std::mt19937 rng(20260807);
   // 1025 straddles the fused interpreter's block size (kFuseBlockRows =
@@ -559,21 +484,47 @@ TEST_F(RexKernelFuzzTest, SimdTailAndAlignmentShapes) {
 
 class TernaryNullTest : public RexKernelFuzzTest {
  protected:
-  /// Evaluates `expr` over a one-row batch through the fused kernel, checks
-  /// it equals both the per-row oracle and the expected value.
+  /// Evaluates `expr` over a one-row batch through the columnar engines
+  /// (fused and per-node, via CheckColumnarEval, which also diffs them
+  /// against the per-row oracle) and checks the expected value. The
+  /// batch's column types are those of the input refs in `expr`.
   void ExpectTernary(const RexNodePtr& expr, const Row& row,
                      const Value& expected) {
     RowBatch batch = {row};
-    std::vector<Value> out;
-    Status status =
-        RexInterpreter::EvalBatchSel(expr, batch, nullptr, &out);
-    ASSERT_TRUE(status.ok()) << expr->ToString() << ": " << status.ToString();
-    ASSERT_EQ(out.size(), 1u);
-    EXPECT_EQ(out[0].ToString(), expected.ToString()) << expr->ToString();
-    auto oracle = RexInterpreter::Eval(expr, row);
-    ASSERT_TRUE(oracle.ok());
-    EXPECT_EQ(out[0].ToString(), oracle.value().ToString())
+    ColumnBatch cols = ColumnsTypedBy(expr, batch);
+    CheckColumnarEval(expr, cols, batch, nullptr, expr->ToString());
+    ColumnBatch out;
+    out.arena = std::make_shared<Arena>();
+    out.ShareStorage(cols);
+    out.num_rows = 1;
+    FusedExpr fused(expr);
+    ASSERT_TRUE(fused.AppendEvalColumn(cols, &out).ok()) << expr->ToString();
+    EXPECT_EQ(out.cols[0].GetValue(0).ToString(), expected.ToString())
         << expr->ToString();
+  }
+
+  /// RowsToColumns over `batch` with each column typed as `expr` reads it
+  /// (unreferenced columns default to nullable INTEGER).
+  ColumnBatch ColumnsTypedBy(const RexNodePtr& expr, const RowBatch& batch) {
+    std::vector<RelDataTypePtr> types(batch[0].size(), int_null_);
+    std::vector<RexNodePtr> stack = {expr};
+    while (!stack.empty()) {
+      RexNodePtr node = std::move(stack.back());
+      stack.pop_back();
+      if (const auto* ref = dynamic_cast<const RexInputRef*>(node.get())) {
+        types[static_cast<size_t>(ref->index())] = node->type();
+      } else if (const auto* call = dynamic_cast<const RexCall*>(node.get())) {
+        stack.insert(stack.end(), call->operands().begin(),
+                     call->operands().end());
+      }
+    }
+    std::vector<std::string> names;
+    for (size_t i = 0; i < types.size(); ++i) {
+      names.push_back("c" + std::to_string(i));
+    }
+    auto cols = RowsToColumns(batch, *tf_.CreateStructType(names, types));
+    EXPECT_TRUE(cols.ok()) << cols.status().ToString();
+    return std::move(cols).value();
   }
 
   RexNodePtr NullBool() { return rex_.MakeNullLiteral(bool_null_); }
@@ -659,9 +610,14 @@ TEST_F(TernaryNullTest, FilterTreatsUnknownAsNotPassing) {
   RexNodePtr pred = Call(OpKind::kGreaterThan,
                          {rex_.MakeInputRef(1, int_null_),
                           rex_.MakeIntLiteral(2)});
-  SelectionVector sel = {0, 1, 2};
-  ASSERT_TRUE(RexInterpreter::NarrowSelection(pred, batch, &sel).ok());
-  EXPECT_EQ(sel, SelectionVector({2}));
+  ColumnBatch cols = ColumnsTypedBy(pred, batch);
+  for (bool fuse : {false, true}) {
+    SelectionVector sel = {0, 1, 2};
+    FusedExpr narrow(pred, fuse);
+    ASSERT_TRUE(
+        narrow.NarrowSelection(cols, std::make_shared<Arena>(), &sel).ok());
+    EXPECT_EQ(sel, SelectionVector({2})) << "fuse=" << fuse;
+  }
 }
 
 }  // namespace
