@@ -11,14 +11,12 @@
 // same multi-node expression, at the interpreter's block size and at the
 // full slice.
 //
-// The file still builds in a `git worktree` of the PR's base commit for
-// the "before" capture (scripts/bench.sh --bin bench_kernels): the fused
-// sweep is gated on __has_include of the fusion header, and everything
-// else uses only base-commit APIs.
+// The fused sweep is gated on __has_include of the fusion header.
 
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <random>
 #include <vector>
@@ -50,6 +48,8 @@ constexpr int64_t kIntRange = 1000;  // ints uniform in [0, kIntRange)
 //   $4 g  INT NOT NULL   (group key, 64 distinct values)
 //   $5 gd DOUBLE NOT NULL (group key, 64 distinct values)
 //   $6 gs VARCHAR NOT NULL (group key, 64 distinct values)
+//   $7 gn DOUBLE NOT NULL (group key: NaN on every other row, else one of
+//                          32 distinct values)
 struct BenchTable {
   TypeFactory tf;
   RelDataTypePtr row_type;
@@ -65,8 +65,8 @@ struct BenchTable {
     auto dbl_null = tf.CreateSqlType(SqlTypeName::kDouble, -1, true);
     auto str_t = tf.CreateSqlType(SqlTypeName::kVarchar, 16);
     row_type = tf.CreateStructType(
-        {"id", "a", "b", "x", "g", "gd", "gs"},
-        {int_t, int_null, int_null, dbl_null, int_t, dbl_t, str_t});
+        {"id", "a", "b", "x", "g", "gd", "gs", "gn"},
+        {int_t, int_null, int_null, dbl_null, int_t, dbl_t, str_t, dbl_t});
     std::mt19937 rng(20260807);
     std::uniform_int_distribution<int> pct(0, 99);
     std::uniform_int_distribution<int64_t> ival(0, kIntRange - 1);
@@ -85,6 +85,9 @@ struct BenchTable {
       row.push_back(Value::Int(grp));
       row.push_back(Value::Double(static_cast<double>(grp) + 0.5));
       row.push_back(Value::String("grp-" + std::to_string(grp)));
+      row.push_back(Value::Double(
+          i % 2 == 0 ? std::numeric_limits<double>::quiet_NaN()
+                     : static_cast<double>(grp)));
       rows.push_back(std::move(row));
     }
     columns = TableColumns::Build(rows, *row_type);
@@ -311,8 +314,11 @@ BENCHMARK(BM_FusedExprSweep)
 
 // Group-id resolution in the columnar hash aggregate: SUM($1) GROUP BY the
 // key column given by Arg (4 = int64, 5 = double, 6 = string; 64 distinct
-// values each). Feed dominates in resolve + typed adds; the builder is
-// reused so steady-state lookups are measured, not growth.
+// values each; 7 = double, half NaN) or, for Arg 8, by the two keys
+// (g, gs). Feed dominates in resolve + typed adds; the builder is reused so
+// steady-state lookups are measured, not growth.
+constexpr int64_t kTwoKeyArg = 8;
+
 void BM_KernelHashGroupResolve(benchmark::State& state) {
   const BenchTable& t = Table();
   AggregateCall call;
@@ -320,12 +326,11 @@ void BM_KernelHashGroupResolve(benchmark::State& state) {
   call.args = {1};
   call.name = "s";
   call.type = t.tf.CreateSqlType(SqlTypeName::kInteger, -1, true);
-  auto builder = ColumnarAggBuilder::TryCreate(
-      {static_cast<int>(state.range(0))}, {call});
-  if (builder == nullptr) {
-    state.SkipWithError("ColumnarAggBuilder::TryCreate returned null");
-    return;
-  }
+  const std::vector<int> keys =
+      state.range(0) == kTwoKeyArg
+          ? std::vector<int>{4, 6}
+          : std::vector<int>{static_cast<int>(state.range(0))};
+  auto builder = ColumnarAggBuilder::Create(keys, {call});
   size_t rows_processed = 0;
   for (auto _ : state) {
     Status s = builder->Feed(t.batch);
@@ -339,6 +344,8 @@ BENCHMARK(BM_KernelHashGroupResolve)
     ->Arg(4)
     ->Arg(5)
     ->Arg(6)
+    ->Arg(7)
+    ->Arg(kTwoKeyArg)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

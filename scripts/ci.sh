@@ -36,8 +36,10 @@ if [[ "$SANITIZER" == "scalar" ]]; then
   # With CALCITE_SIMD=OFF every simd:: entry point compiles to the scalar
   # reference and ScopedDispatch(true) is a no-op, so the differential
   # suites prove the portable path alone produces the oracle results.
+  # parallel_exec_test is among them because the hash join, serial and
+  # parallel alike, hashes single-int keys through simd::HashI64.
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
-    -R 'simd_kernels_test|rex_kernel_fuzz_test|rex_fuse_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|row_batch_test'
+    -R 'simd_kernels_test|rex_kernel_fuzz_test|rex_fuse_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|row_batch_test|parallel_exec_test'
 
   echo "=== done (scalar) ==="
   exit 0
@@ -130,6 +132,12 @@ echo "=== fuzz (raised iterations) ==="
 # 5x the default per-test iteration budget on the fast non-sanitized build.
 REX_FUZZ_ITERS=5 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   --no-tests=error -R 'rex_kernel_fuzz_test'
+
+echo "=== workload self-test ==="
+# The SQL workload benchmark's oracle checks: every template at threads
+# {1, nproc}, over MemTables and DiskTables, plus an ingest-and-reopen
+# round trip. Builds its own Release binary under .bench_build/.
+python3 perfbench/run.py --self-test
 
 echo "=== bench smoke ==="
 # Quick benchmarks exercise the batched execution engine end-to-end

@@ -1,10 +1,11 @@
 #include "adapters/enumerable/columnar_agg.h"
 
 #include <algorithm>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
+
+#include "exec/simd.h"
 
 namespace calcite {
 
@@ -29,56 +30,260 @@ ColumnVector ShiftColumn(const ColumnVector& col, size_t base) {
   if (v.nulls != nullptr) v.nulls += base;
   return v;
 }
+
+/// The bit image of one key cell. For NULL, int64, bool, double (every NaN
+/// canonicalized) and string cells of up to 7 bytes, `bits` identifies the
+/// value within `type`, so equal images are equal keys and a probe accepts
+/// without touching the boxed group key. Other cells (longer strings,
+/// composites) are inexact and always verify against the boxed key.
+/// Unequal images prove nothing (Int(2) vs Double(2.0), +0.0 vs -0.0): the
+/// cell then verifies too.
+struct CellImage {
+  uint64_t bits = 0;
+  uint8_t type = 0;  // one of the k*Image tags below
+};
+constexpr uint8_t kInexactImage = 0;
+constexpr uint8_t kNullImage = 1;
+constexpr uint8_t kIntImage = 2;
+constexpr uint8_t kDoubleImage = 3;
+constexpr uint8_t kBoolImage = 4;
+constexpr uint8_t kShortStringImage = 5;
+
+/// A string of up to 7 bytes packs its bytes low and its length into the
+/// top byte; longer strings are inexact.
+CellImage StringImage(const char* data, size_t size) {
+  if (size > 7) return {};
+  uint64_t bits = static_cast<uint64_t>(size) << 56;
+  for (size_t b = 0; b < size; ++b) {
+    bits |= static_cast<uint64_t>(static_cast<uint8_t>(data[b])) << (8 * b);
+  }
+  return {bits, kShortStringImage};
+}
+
+CellImage ImageOf(const Value& v) {
+  if (v.IsNull()) return {0, kNullImage};
+  if (v.is_int()) return {static_cast<uint64_t>(v.AsInt()), kIntImage};
+  if (v.is_double()) return {simd::F64Bits(v.AsDouble()), kDoubleImage};
+  if (v.is_bool()) return {v.AsBool() ? 1u : 0u, kBoolImage};
+  if (v.is_string()) {
+    return StringImage(v.AsString().data(), v.AsString().size());
+  }
+  return {};
+}
+
+/// Column-at-a-time ImageOf: the images of the `n` cells of `col` named by
+/// sel[0..n) (or rows 0..n-1 when `sel` is null) into bits/types[0..n).
+void ImageColumn(const ColumnVector& col, const uint32_t* sel, size_t n,
+                 uint64_t* bits, uint8_t* types) {
+  auto row = [sel](size_t k) { return sel != nullptr ? sel[k] : k; };
+  switch (col.type) {
+    case PhysType::kInt64:
+      for (size_t k = 0; k < n; ++k) {
+        bits[k] = static_cast<uint64_t>(col.i64[row(k)]);
+        types[k] = kIntImage;
+      }
+      break;
+    case PhysType::kDouble:
+      for (size_t k = 0; k < n; ++k) {
+        bits[k] = simd::F64Bits(col.f64[row(k)]);
+        types[k] = kDoubleImage;
+      }
+      break;
+    case PhysType::kBool:
+      for (size_t k = 0; k < n; ++k) {
+        bits[k] = col.b8[row(k)] != 0 ? 1 : 0;
+        types[k] = kBoolImage;
+      }
+      break;
+    case PhysType::kString:
+      for (size_t k = 0; k < n; ++k) {
+        const StringRef& str = col.str[row(k)];
+        const CellImage image = StringImage(str.data, str.size);
+        bits[k] = image.bits;
+        types[k] = image.type;
+      }
+      break;
+    case PhysType::kValue:
+      for (size_t k = 0; k < n; ++k) {
+        const CellImage image = ImageOf(col.boxed[row(k)]);
+        bits[k] = image.bits;
+        types[k] = image.type;
+      }
+      return;  // boxed cells carry their own null state
+  }
+  if (col.nulls != nullptr) {
+    for (size_t k = 0; k < n; ++k) {
+      if (col.nulls[row(k)] != 0) {
+        bits[k] = 0;
+        types[k] = kNullImage;
+      }
+    }
+  }
+}
+
+bool SameImage(CellImage a, CellImage b) {
+  return a.type != kInexactImage && a.type == b.type && a.bits == b.bits;
+}
+
+bool IsNaN(const Value& v) {
+  return v.is_double() && v.AsDouble() != v.AsDouble();
+}
+
+/// Value equality of two boxed key cells. Two NaNs never reach here — their
+/// canonical images already matched — and Value::Compare would call a NaN
+/// equal to every number, so a NaN equals nothing here.
+bool KeyValuesEqual(const Value& a, const Value& b) {
+  return !IsNaN(a) && !IsNaN(b) && a == b;
+}
+
+/// True when cell `col[row]` equals the boxed key cell `v` under Value
+/// equality (numeric cross-representation, string bytes).
+bool CellMatches(const ColumnVector& col, size_t row, const Value& v) {
+  if (col.IsNullAt(row)) return v.IsNull();
+  switch (col.type) {
+    case PhysType::kInt64: {
+      // Mirrors Value::Compare: int-int exact, cross-representation as
+      // double (so a raw 2 matches a group opened by Double(2.0)).
+      const int64_t c = col.i64[row];
+      if (v.is_int()) return v.AsInt() == c;
+      return v.is_double() && v.AsDouble() == static_cast<double>(c);
+    }
+    case PhysType::kDouble:
+      return v.is_numeric() && v.AsDouble() == col.f64[row];
+    case PhysType::kString:
+      return v.is_string() &&
+             std::string_view(v.AsString()) == col.str[row].view();
+    case PhysType::kBool:
+      return v.is_bool() && v.AsBool() == (col.b8[row] != 0);
+    case PhysType::kValue:
+      return KeyValuesEqual(v, col.boxed[row]);
+  }
+  return false;
+}
+
+/// The key cells of one input row: physical row `row` of each key column,
+/// whose images ImageColumn put at bits/types[c * stride].
+struct ColumnCells {
+  const std::vector<const ColumnVector*>& cols;
+  size_t row;
+  const uint64_t* bits;
+  const uint8_t* types;
+  size_t stride;
+
+  CellImage Image(size_t c) const {
+    return {bits[c * stride], types[c * stride]};
+  }
+  bool Matches(size_t c, const Value& v) const {
+    return CellMatches(*cols[c], row, v);
+  }
+  Value Box(size_t c) const { return cols[c]->GetValue(row); }
+};
+
+/// The boxed key cells of another builder's group (MergeFrom).
+struct ValueCells {
+  const Value* values;
+
+  CellImage Image(size_t c) const { return ImageOf(values[c]); }
+  bool Matches(size_t c, const Value& v) const {
+    return KeyValuesEqual(v, values[c]);
+  }
+  Value Box(size_t c) const { return values[c]; }
+};
+
 }  // namespace
 
-std::unique_ptr<ColumnarAggBuilder> ColumnarAggBuilder::TryCreate(
+std::unique_ptr<ColumnarAggBuilder> ColumnarAggBuilder::Create(
     const std::vector<int>& group_keys,
     const std::vector<AggregateCall>& calls) {
-  if (group_keys.size() > 1) return nullptr;
   return std::unique_ptr<ColumnarAggBuilder>(
       new ColumnarAggBuilder(group_keys, calls));
 }
 
-uint32_t ColumnarAggBuilder::NewGroup(Value key) {
-  uint32_t gid = static_cast<uint32_t>(group_key_values_.size());
-  group_key_values_.push_back(std::move(key));
-  accs_.reserve(accs_.size() + calls_.size());
+uint32_t ColumnarAggBuilder::NewGroup() {
+  const uint32_t gid = static_cast<uint32_t>(num_groups_++);
   for (const AggregateCall& call : calls_) {
     accs_.emplace_back(call);
   }
   return gid;
 }
 
-uint32_t ColumnarAggBuilder::GroupIdForValue(const Value& key) {
-  auto it = group_index_.find(key);
-  if (it != group_index_.end()) return it->second;
-  uint32_t gid = NewGroup(key);
-  group_index_.emplace(key, gid);
+// GroupMatches and InsertGroup stay out of line: inlined into ResolveKeys,
+// they made the probe loop spill its locals on the hit path (measured on
+// BM_KernelHashGroupResolve).
+template <typename Cells>
+[[gnu::noinline]] bool ColumnarAggBuilder::GroupMatches(
+    uint32_t gid, const Cells& cells) const {
+  const size_t num_keys = group_keys_.size();
+  for (size_t c = 0; c < num_keys; ++c) {
+    const size_t at = gid * num_keys + c;
+    if (SameImage(cells.Image(c), CellImage{key_bits_[at], key_types_[at]})) {
+      continue;
+    }
+    if (!cells.Matches(c, key_values_[at])) return false;
+  }
+  return true;
+}
+
+template <typename Cells>
+[[gnu::noinline]] uint32_t ColumnarAggBuilder::InsertGroup(
+    uint64_t hash, const Cells& cells, size_t slot) {
+  const uint32_t gid = NewGroup();
+  const size_t first = key_values_.size();
+  for (size_t c = 0; c < group_keys_.size(); ++c) {
+    const CellImage image = cells.Image(c);
+    key_values_.push_back(cells.Box(c));
+    key_bits_.push_back(image.bits);
+    key_types_.push_back(image.type);
+  }
+  HashSlot& s = hash_slots_[slot];
+  s.hash = hash;
+  s.bits0 = key_bits_[first];
+  s.type0 = key_types_[first];
+  s.gid_plus_1 = gid + 1;
+  if (++hash_count_ * 10 >= hash_slots_.size() * 7) RehashSlots();
   return gid;
 }
 
-bool ColumnarAggBuilder::CellMatchesGroup(const ColumnVector& key, size_t row,
-                                          uint32_t gid) const {
-  const Value& v = group_key_values_[gid];
-  switch (key.type) {
-    case PhysType::kInt64: {
-      // Mirrors Value::Compare: int-int exact, cross-representation as
-      // double (so a raw 2 matches a group opened by Double(2.0)).
-      const int64_t c = key.i64[row];
-      if (v.is_int()) return v.AsInt() == c;
-      return v.is_double() && v.AsDouble() == static_cast<double>(c);
+template <typename CellsAt>
+void ColumnarAggBuilder::ResolveKeys(size_t n, const uint64_t* hashes,
+                                     const CellsAt& cells_at,
+                                     uint32_t* gids) {
+  const bool single_key = group_keys_.size() == 1;
+  // Locals instead of member accesses keep the hit path — slot load, hash
+  // compare, image accept — free of reloads; only a miss (InsertGroup,
+  // which may grow the table) refreshes them.
+  const HashSlot* slots = hash_slots_.data();
+  size_t mask = hash_slots_.size() - 1;
+  for (size_t j = 0; j < n; ++j) {
+    const uint64_t h = hashes[j];
+    const CellImage image0 = cells_at(j).Image(0);
+    // The common single-key case — the key's group sits in its home slot
+    // and bit-matches — resolves here, clear of the calls below. (An empty
+    // slot's image is inexact, so it never matches.)
+    const HashSlot& home = slots[static_cast<size_t>(h) & mask];
+    if (single_key && home.hash == h &&
+        SameImage(image0, CellImage{home.bits0, home.type0})) {
+      gids[j] = home.gid_plus_1 - 1;
+      continue;
     }
-    case PhysType::kDouble:
-      return v.is_numeric() && v.AsDouble() == key.f64[row];
-    case PhysType::kString:
-      return v.is_string() &&
-             std::string_view(v.AsString()) == key.str[row].view();
-    case PhysType::kBool:
-      return v.is_bool() && v.AsBool() == (key.b8[row] != 0);
-    case PhysType::kValue:
-      break;
+    for (size_t slot = static_cast<size_t>(h) & mask;;
+         slot = (slot + 1) & mask) {
+      const HashSlot& s = slots[slot];
+      if (s.gid_plus_1 == 0) {
+        gids[j] = InsertGroup(h, cells_at(j), slot);
+        slots = hash_slots_.data();
+        mask = hash_slots_.size() - 1;
+        break;
+      }
+      if (s.hash != h) continue;
+      const uint32_t gid = s.gid_plus_1 - 1;
+      if ((single_key && SameImage(image0, CellImage{s.bits0, s.type0})) ||
+          GroupMatches(gid, cells_at(j))) {
+        gids[j] = gid;
+        break;
+      }
+    }
   }
-  return false;
 }
 
 void ColumnarAggBuilder::RehashSlots() {
@@ -94,117 +299,61 @@ void ColumnarAggBuilder::RehashSlots() {
   }
 }
 
-uint32_t ColumnarAggBuilder::InsertHashed(const ColumnVector& key, size_t row,
-                                          uint64_t hash, uint64_t raw,
-                                          bool exact, size_t slot) {
-  // NaN never equals itself under the boxed semantics, so a stored NaN bit
-  // image must not fast-accept later NaN cells into this group.
-  if (key.type == PhysType::kDouble && key.f64[row] != key.f64[row]) {
-    exact = false;
+void ColumnarAggBuilder::PrepareKeys(const ColumnBatch& batch, size_t base,
+                                     size_t n) {
+  const uint32_t* sel = batch.has_sel ? batch.sel.data() + base : nullptr;
+  const size_t num_keys = key_cols_.size();
+  hashes_.resize(n);
+  col_hashes_.resize(n);
+  cell_bits_.resize(num_keys * n);
+  cell_types_.resize(num_keys * n);
+  for (size_t c = 0; c < num_keys; ++c) {
+    const ColumnVector col =
+        sel != nullptr ? *key_cols_[c] : ShiftColumn(*key_cols_[c], base);
+    ImageColumn(col, sel, n, &cell_bits_[c * n], &cell_types_[c * n]);
+    if (num_keys == 1) {
+      HashColumn(col, sel, n, hashes_.data());
+      return;
+    }
+    HashColumn(col, sel, n, col_hashes_.data());
+    for (size_t j = 0; j < n; ++j) {
+      hashes_[j] = FoldKeyHash(c == 0 ? kKeyHashSeed : hashes_[j],
+                               col_hashes_[j]);
+    }
   }
-  const uint32_t gid = GroupIdForValue(key.GetValue(row));
-  HashSlot& s = hash_slots_[slot];
-  s.hash = hash;
-  s.raw = raw;
-  s.raw_type = static_cast<uint8_t>(exact ? key.type : PhysType::kValue);
-  s.gid_plus_1 = gid + 1;
-  if (++hash_count_ * 10 >= hash_slots_.size() * 7) RehashSlots();
-  return gid;
 }
 
 void ColumnarAggBuilder::ResolveGroups(const ColumnBatch& batch) {
   const size_t active = batch.ActiveCount();
-  gids_.clear();
-  gids_.reserve(active);
+  gids_.resize(active);
   if (group_keys_.empty()) {
-    if (group_key_values_.empty()) NewGroup(Value::Null());
-    gids_.assign(active, 0);
+    if (num_groups_ == 0) NewGroup();
+    std::fill(gids_.begin(), gids_.end(), 0);
     return;
   }
-  const ColumnVector& key = batch.cols[static_cast<size_t>(group_keys_[0])];
-  // The flat table verifies probes against group_key_values_, which EmitBatch
-  // moves out of — after finalization only the boxed path is trustworthy
-  // (Feed after Emit does not happen on the hot path anyway).
-  if (key.type != PhysType::kValue && !finalized_) {
-    // Blocked hashing: hash kHashBlockRows keys column-at-a-time, then
-    // resolve those rows off their precomputed hashes, and repeat. The
-    // block bound keeps the hash scratch cache-resident even when a batch
-    // is far larger than the usual 1024 rows. The probe loop lives here
-    // (not in a per-row helper) so the hot path — slot load, hash compare,
-    // raw-bit accept — stays inline; only misses leave it.
-    if (hash_slots_.empty()) hash_slots_.resize(kInitialHashSlots);
-    gids_.resize(active);
-    hashes_.resize(std::min(active, kHashBlockRows));
-    const PhysType kt = key.type;
-    const uint8_t kt8 = static_cast<uint8_t>(kt);
-    const uint32_t* sel = batch.has_sel ? batch.sel.data() : nullptr;
-    const uint8_t* nulls = key.nulls;
-    const uint64_t* hashes = hashes_.data();
-    uint32_t* gids = gids_.data();
-    // Locals instead of member accesses: the out-of-line calls on the miss
-    // path would otherwise force the compiler to reload pointer/mask every
-    // row. InsertHashed can grow the table, so both refresh after it.
-    const HashSlot* slots = hash_slots_.data();
-    size_t mask = hash_slots_.size() - 1;
-    for (size_t base = 0; base < active; base += kHashBlockRows) {
-      const size_t block = std::min(kHashBlockRows, active - base);
-      if (sel != nullptr) {
-        HashColumn(key, sel + base, block, hashes_.data());
-      } else {
-        const ColumnVector view = ShiftColumn(key, base);
-        HashColumn(view, nullptr, block, hashes_.data());
-      }
-      for (size_t j = 0; j < block; ++j) {
-        const size_t k = base + j;
-        const size_t i = sel != nullptr ? sel[k] : k;
-        if (nulls != nullptr && nulls[i] != 0) {
-          gids[k] = GroupIdForValue(Value::Null());
-          continue;
-        }
-        uint64_t bits = 0;
-        bool exact = true;
-        switch (kt) {
-          case PhysType::kInt64:
-            bits = static_cast<uint64_t>(key.i64[i]);
-            break;
-          case PhysType::kDouble: {
-            const double d = key.f64[i];
-            std::memcpy(&bits, &d, sizeof(bits));
-            break;
-          }
-          case PhysType::kBool:
-            bits = key.b8[i] != 0 ? 1 : 0;
-            break;
-          default:
-            exact = false;  // strings verify through CellMatchesGroup
-            break;
-        }
-        const uint64_t h = hashes[j];
-        size_t slot = static_cast<size_t>(h) & mask;
-        uint32_t gid;
-        for (;;) {
-          const HashSlot& s = slots[slot];
-          if (s.gid_plus_1 == 0) {
-            gid = InsertHashed(key, i, h, bits, exact, slot);
-            slots = hash_slots_.data();
-            mask = hash_slots_.size() - 1;
-            break;
-          }
-          if (s.hash == h &&
-              ((exact && s.raw_type == kt8 && s.raw == bits) ||
-               CellMatchesGroup(key, i, s.gid_plus_1 - 1))) {
-            gid = s.gid_plus_1 - 1;
-            break;
-          }
-          slot = (slot + 1) & mask;
-        }
-        gids[k] = gid;
-      }
-    }
-    return;
+  key_cols_.clear();
+  for (int k : group_keys_) {
+    key_cols_.push_back(&batch.cols[static_cast<size_t>(k)]);
   }
-  for (size_t k = 0; k < active; ++k) {
-    gids_.push_back(GroupIdForValue(key.GetValue(batch.ActiveIndex(k))));
+  if (hash_slots_.empty()) hash_slots_.resize(kInitialHashSlots);
+  // Blocked hashing: hash and image kHashBlockRows keys column-at-a-time,
+  // then resolve those rows, and repeat. The block bound keeps the scratch
+  // cache-resident even when a batch is far larger than the usual 1024
+  // rows.
+  const uint32_t* sel = batch.has_sel ? batch.sel.data() : nullptr;
+  for (size_t base = 0; base < active; base += kHashBlockRows) {
+    const size_t block = std::min(kHashBlockRows, active - base);
+    PrepareKeys(batch, base, block);
+    const uint64_t* bits = cell_bits_.data();
+    const uint8_t* types = cell_types_.data();
+    const std::vector<const ColumnVector*>& cols = key_cols_;
+    ResolveKeys(
+        block, hashes_.data(),
+        [&cols, sel, base, bits, types, block](size_t j) {
+          const size_t row = sel != nullptr ? sel[base + j] : base + j;
+          return ColumnCells{cols, row, bits + j, types + j, block};
+        },
+        gids_.data() + base);
   }
 }
 
@@ -292,18 +441,32 @@ Status ColumnarAggBuilder::Feed(const ColumnBatch& batch) {
 }
 
 Status ColumnarAggBuilder::MergeFrom(const ColumnarAggBuilder& other) {
+  const size_t num_keys = group_keys_.size();
   const size_t stride = calls_.size();
-  for (size_t og = 0; og < other.group_key_values_.size(); ++og) {
-    uint32_t gid;
-    if (group_keys_.empty()) {
-      if (group_key_values_.empty()) NewGroup(Value::Null());
-      gid = 0;
-    } else {
-      gid = GroupIdForValue(other.group_key_values_[og]);
+  const size_t n = other.num_groups_;
+  // Resolve the other builder's groups here, probing with HashRowKey64 of
+  // its boxed keys.
+  std::vector<uint32_t> gids(n, 0);
+  if (num_keys == 0) {
+    if (n > 0 && num_groups_ == 0) NewGroup();
+  } else {
+    if (hash_slots_.empty()) hash_slots_.resize(kInitialHashSlots);
+    std::vector<uint64_t> hashes(n);
+    for (size_t og = 0; og < n; ++og) {
+      const Value* key = &other.key_values_[og * num_keys];
+      hashes[og] = HashRowKey64(Row(key, key + num_keys));
     }
+    ResolveKeys(
+        n, hashes.data(),
+        [&](size_t og) {
+          return ValueCells{&other.key_values_[og * num_keys]};
+        },
+        gids.data());
+  }
+  for (size_t og = 0; og < n; ++og) {
     for (size_t j = 0; j < stride; ++j) {
-      CALCITE_RETURN_IF_ERROR(
-          accs_[gid * stride + j].MergeFrom(other.accs_[og * stride + j]));
+      CALCITE_RETURN_IF_ERROR(accs_[gids[og] * stride + j].MergeFrom(
+          other.accs_[og * stride + j]));
     }
   }
   return Status::OK();
@@ -312,19 +475,18 @@ Status ColumnarAggBuilder::MergeFrom(const ColumnarAggBuilder& other) {
 RowBatch ColumnarAggBuilder::EmitBatch(size_t batch_size) {
   if (!finalized_) {
     // Global aggregate over empty input still produces one row.
-    if (group_keys_.empty() && group_key_values_.empty()) {
-      NewGroup(Value::Null());
-    }
+    if (group_keys_.empty() && num_groups_ == 0) NewGroup();
     finalized_ = true;
   }
+  const size_t num_keys = group_keys_.size();
   const size_t stride = calls_.size();
   RowBatch out;
-  while (emit_pos_ < group_key_values_.size() && out.size() < batch_size) {
+  while (emit_pos_ < num_groups_ && out.size() < batch_size) {
     const size_t g = emit_pos_++;
     Row result;
-    result.reserve(group_keys_.size() + stride);
-    if (!group_keys_.empty()) {
-      result.push_back(std::move(group_key_values_[g]));
+    result.reserve(num_keys + stride);
+    for (size_t c = 0; c < num_keys; ++c) {
+      result.push_back(std::move(key_values_[g * num_keys + c]));
     }
     for (size_t j = 0; j < stride; ++j) {
       result.push_back(accs_[g * stride + j].Finish());

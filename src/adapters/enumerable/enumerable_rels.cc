@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "adapters/enumerable/aggregates.h"
 #include "adapters/enumerable/columnar_agg.h"
+#include "adapters/enumerable/hash_join.h"
 #include "exec/arena.h"
 #include "exec/column_batch.h"
 #include "exec/parallel/parallel_exec.h"
@@ -26,10 +26,10 @@ namespace calcite {
 // (RowsToColumnsPuller). Every expression therefore runs through FusedExpr,
 // which falls back to the per-node RexColumnar kernels and then to per-row
 // RexInterpreter::Eval. Operators that evaluate no expressions (sort,
-// nested-loop join, set ops, values, window, the multi-key aggregate)
-// exchange dense RowBatches through ExecuteBatched. Execute() is the
-// materializing wrapper over the same pipeline; `batch_size = 1` reproduces
-// row-at-a-time behavior exactly (see the parity tests).
+// nested-loop join, set ops, values, window) exchange dense RowBatches
+// through ExecuteBatched. Execute() is the materializing wrapper over the
+// same pipeline; `batch_size = 1` reproduces row-at-a-time behavior exactly
+// (see the parity tests).
 
 namespace {
 
@@ -131,19 +131,6 @@ Result<std::vector<Row>> DrainNode(const RelNode& node) {
 }
 
 }  // namespace
-
-std::optional<Row> JoinSideKey(const Row& row,
-                               const std::vector<std::pair<int, int>>& keys,
-                               bool left_side) {
-  Row key;
-  key.reserve(keys.size());
-  for (const auto& [l, r] : keys) {
-    const Value& v = row[static_cast<size_t>(left_side ? l : r)];
-    if (v.IsNull()) return std::nullopt;
-    key.push_back(v);
-  }
-  return key;
-}
 
 Row ConcatRows(const Row& left, const Row& right) {
   Row out;
@@ -417,16 +404,11 @@ Result<std::vector<Row>> EnumerableHashJoin::Execute() const {
 
 namespace {
 
-/// Shared runtime state of a streaming join (hash or nested-loop): the
-/// build side is materialized on first pull; probe batches then flow
-/// through one at a time. The hash table stays empty for nested loops.
+/// Streaming state of a join (hash or nested-loop): the build side is
+/// built on first pull; probe batches then flow through one at a time.
 struct JoinExecState {
   bool built = false;
-  std::vector<Row> right_data;
-  std::unordered_map<Row, std::vector<size_t>, RowHash> table;
-  std::vector<bool> right_matched;
   bool left_done = false;
-  size_t right_emit_pos = 0;
   /// Join output already produced but not yet handed out: a skewed key can
   /// make one probe batch yield far more than batch_size rows, and the
   /// ExecuteBatched contract caps every returned batch. Drained through
@@ -451,20 +433,6 @@ RowBatch FlushPending(JoinExecState* state, size_t batch_size) {
   return out;
 }
 
-/// Drains the build side into state->right_data and sizes the matched mask.
-Status DrainRightSide(const RowBatchPuller& right_pull, JoinExecState* state) {
-  for (;;) {
-    auto batch = right_pull();
-    if (!batch.ok()) return batch.status();
-    if (batch.value().empty()) break;
-    for (Row& row : batch.value()) {
-      state->right_data.push_back(std::move(row));
-    }
-  }
-  state->right_matched.assign(state->right_data.size(), false);
-  return Status::OK();
-}
-
 }  // namespace
 
 bool JoinEmitsCombinedRows(JoinType join_type) {
@@ -481,146 +449,65 @@ bool JoinEmitsCombinedRows(JoinType join_type) {
   return false;
 }
 
-namespace {
-
-/// The next batch of NULL-padded unmatched build rows (RIGHT/FULL OUTER),
-/// empty when exhausted or not applicable to the join type.
-RowBatch EmitUnmatchedRight(JoinType join_type, JoinExecState* state,
-                            size_t left_width, size_t batch_size) {
-  RowBatch out;
-  if (join_type != JoinType::kRight && join_type != JoinType::kFull) {
-    return out;
-  }
-  while (state->right_emit_pos < state->right_data.size() &&
-         out.size() < batch_size) {
-    size_t i = state->right_emit_pos++;
-    if (!state->right_matched[i]) {
-      out.push_back(PadNullLeft(left_width, state->right_data[i]));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
 Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
     const ExecOptions& opts) const {
   if (auto parallel = TryExecuteParallel(*this, opts)) {
     return std::move(*parallel);
   }
-  auto keys = std::make_shared<std::vector<std::pair<int, int>>>();
-  auto remaining = std::make_shared<std::vector<RexNodePtr>>();
-  if (!AnalyzeEquiKeys(keys.get(), remaining.get())) {
+  // The parallel join's table and probe loop with one partition, built on
+  // the calling thread: output is each left row's matches in build order,
+  // left rows in probe order, then the RIGHT/FULL unmatched tail.
+  auto table = std::make_shared<HashJoinTable>();
+  if (!AnalyzeEquiKeys(&table->keys, &table->remaining)) {
     return Status::PlanError(
         "EnumerableHashJoin requires at least one equi-join key");
   }
+  table->join_type = join_type_;
+  table->right_width = input(1)->row_type()->fields().size();
   auto right = input(1)->ExecuteBatched(opts);
   if (!right.ok()) return right.status();
 
   RelNodePtr self = shared_from_this();
-  const JoinType join_type = join_type_;
   const size_t left_width = input(0)->row_type()->fields().size();
-  const size_t right_width = input(1)->row_type()->fields().size();
   const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<JoinExecState>();
+  auto scratch = std::make_shared<ProbeScratch>();
   RowBatchPuller right_pull = std::move(right).value();
 
   // Columnar probe: the join key is read straight off the raw columns and
   // the full left row is boxed lazily — only probe rows that actually emit
   // output pay the row gather.
   std::vector<int> left_keys;
-  for (const auto& key : *keys) left_keys.push_back(key.first);
+  for (const auto& key : table->keys) left_keys.push_back(key.first);
   auto left = ColumnarInput(*input(0), opts, ReadMask(*input(0), left_keys));
   if (!left.ok()) return left.status();
   ColumnBatchPuller left_pull = std::move(left).value();
 
-  return RowBatchPuller([self, keys, remaining, state, left_pull,
-                         right_pull, join_type, left_width, right_width,
-                         batch_size]() -> Result<RowBatch> {
+  return RowBatchPuller([self, table, state, scratch, left_pull, right_pull,
+                         left_width, batch_size]() -> Result<RowBatch> {
     if (!state->built) {
-      CALCITE_RETURN_IF_ERROR(DrainRightSide(right_pull, state.get()));
-      for (size_t i = 0; i < state->right_data.size(); ++i) {
-        auto key =
-            JoinSideKey(state->right_data[i], *keys, /*left_side=*/false);
-        if (key.has_value()) {
-          state->table[std::move(*key)].push_back(i);
-        }
-      }
+      CALCITE_RETURN_IF_ERROR(BuildHashJoinTable(
+          right_pull, /*num_partitions=*/1, /*scheduler=*/nullptr,
+          table.get()));
       state->built = true;
     }
     if (!state->pending.empty()) {
       return FlushPending(state.get(), batch_size);
     }
-
-    auto residual_passes = [&](const Row& combined) -> Result<bool> {
-      for (const RexNodePtr& pred : *remaining) {
-        auto pass = RexInterpreter::EvalPredicate(pred, combined);
-        if (!pass.ok()) return pass;
-        if (!pass.value()) return false;
-      }
-      return true;
-    };
-
     while (!state->left_done) {
-      auto batch = left_pull();
-      if (!batch.ok()) return batch.status();
-      ColumnBatch cols = std::move(batch).value();
+      CALCITE_ASSIGN_OR_RETURN(ColumnBatch cols, left_pull());
       if (cols.AtEnd()) {
         state->left_done = true;
         break;
       }
-      RowBatch& out = state->pending;
-      const size_t active = cols.ActiveCount();
-      Row probe_key;  // reused across the batch
-      for (size_t k = 0; k < active; ++k) {
-        const size_t i = cols.ActiveIndex(k);
-        probe_key.clear();
-        bool null_key = false;
-        for (const auto& [l, r] : *keys) {
-          (void)r;
-          const ColumnVector& c = cols.cols[static_cast<size_t>(l)];
-          if (c.IsNullAt(i)) {
-            null_key = true;  // NULL keys never match
-            break;
-          }
-          probe_key.push_back(c.GetValue(i));
-        }
-        bool matched = false;
-        Row lrow;
-        bool have_lrow = false;
-        auto lrow_ref = [&]() -> Row& {
-          if (!have_lrow) {
-            lrow = cols.GatherRow(i);
-            have_lrow = true;
-          }
-          return lrow;
-        };
-        if (!null_key) {
-          auto it = state->table.find(probe_key);
-          if (it != state->table.end()) {
-            for (size_t ri : it->second) {
-              Row combined = ConcatRows(cols, i, state->right_data[ri]);
-              auto pass = residual_passes(combined);
-              if (!pass.ok()) return pass.status();
-              if (!pass.value()) continue;
-              matched = true;
-              state->right_matched[ri] = true;
-              if (JoinEmitsCombinedRows(join_type)) {
-                out.push_back(std::move(combined));
-              }
-              if (join_type == JoinType::kSemi) break;
-            }
-          }
-        }
-        JoinEmitPerLeftRow(join_type, matched, lrow_ref, right_width, &out);
+      CALCITE_RETURN_IF_ERROR(
+          ProbeBatch(*table, cols, scratch.get(), &state->pending));
+      if (!state->pending.empty()) {
+        return FlushPending(state.get(), batch_size);
       }
-      if (!out.empty()) return FlushPending(state.get(), batch_size);
     }
-
-    RowBatch out =
-        EmitUnmatchedRight(join_type, state.get(), left_width, batch_size);
-    if (!out.empty()) return out;
-    return RowBatch{};
+    return table->build.NextUnmatched(table->join_type, left_width,
+                                      batch_size);
   });
 }
 
@@ -668,14 +555,15 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
   const size_t right_width = input(1)->row_type()->fields().size();
   const size_t batch_size = NormalizedBatchSize(opts);
   auto state = std::make_shared<JoinExecState>();
+  auto build = std::make_shared<JoinBuildRows>();
   RowBatchPuller left_pull = std::move(left).value();
   RowBatchPuller right_pull = std::move(right).value();
 
-  return RowBatchPuller([self, condition, state, left_pull, right_pull,
+  return RowBatchPuller([self, condition, state, build, left_pull, right_pull,
                          join_type, left_width, right_width,
                          batch_size]() -> Result<RowBatch> {
     if (!state->built) {
-      CALCITE_RETURN_IF_ERROR(DrainRightSide(right_pull, state.get()));
+      CALCITE_RETURN_IF_ERROR(build->Drain(right_pull));
       state->built = true;
     }
 
@@ -692,15 +580,16 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
         break;
       }
       RowBatch& out = state->pending;
+      const std::vector<Row>& right_rows = build->rows();
       for (Row& lrow : left_rows) {
         bool matched = false;
-        for (size_t ri = 0; ri < state->right_data.size(); ++ri) {
-          Row combined = ConcatRows(lrow, state->right_data[ri]);
+        for (size_t ri = 0; ri < right_rows.size(); ++ri) {
+          Row combined = ConcatRows(lrow, right_rows[ri]);
           auto pass = RexInterpreter::EvalPredicate(condition, combined);
           if (!pass.ok()) return pass.status();
           if (!pass.value()) continue;
           matched = true;
-          state->right_matched[ri] = true;
+          build->MarkMatched(ri);
           if (JoinEmitsCombinedRows(join_type)) {
             out.push_back(std::move(combined));
           }
@@ -713,10 +602,7 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
       if (!out.empty()) return FlushPending(state.get(), batch_size);
     }
 
-    RowBatch out =
-        EmitUnmatchedRight(join_type, state.get(), left_width, batch_size);
-    if (!out.empty()) return out;
-    return RowBatch{};
+    return build->NextUnmatched(join_type, left_width, batch_size);
   });
 }
 
@@ -742,124 +628,39 @@ Result<std::vector<Row>> EnumerableAggregate::Execute() const {
   return DrainNode(*this);
 }
 
-namespace {
-
-/// Streaming hash-aggregate state of the row path: groups hold live
-/// accumulators instead of materialized row lists, fed a batch at a time.
-struct HashAggState {
-  bool built = false;
-  std::unordered_map<Row, size_t, RowHash> group_index;
-  std::vector<Row> group_keys_rows;
-  std::vector<std::vector<AggAccumulator>> group_accs;
-  size_t emit_pos = 0;
-};
-
-}  // namespace
-
 Result<RowBatchPuller> EnumerableAggregate::ExecuteBatched(
     const ExecOptions& opts) const {
   if (auto parallel = TryExecuteParallel(*this, opts)) {
     return std::move(*parallel);
   }
-  RelNodePtr self = shared_from_this();  // pins group_keys_ / agg_calls_
+  RelNodePtr self = shared_from_this();
   const size_t batch_size = NormalizedBatchSize(opts);
-  // Columnar consumer (global and single-key grouping): batches feed the
-  // typed accumulator adders straight from raw column storage — group-key
-  // probing and NULL skipping never box a cell unless the group key is
-  // genuinely new.
-  if (auto builder = std::shared_ptr<ColumnarAggBuilder>(
-          ColumnarAggBuilder::TryCreate(group_keys_, agg_calls_))) {
-    std::vector<int> reads = group_keys_;
-    for (const AggregateCall& call : agg_calls_) {
-      reads.insert(reads.end(), call.args.begin(), call.args.end());
-    }
-    auto columnar =
-        ColumnarInput(*input(0), opts, ReadMask(*input(0), reads));
-    if (!columnar.ok()) return columnar.status();
-    ColumnBatchPuller pull = std::move(columnar).value();
-    auto built = std::make_shared<bool>(false);
-    return RowBatchPuller(
-        [self, builder, pull, built, batch_size]() -> Result<RowBatch> {
-          if (!*built) {
-            for (;;) {
-              auto batch = pull();
-              if (!batch.ok()) return batch.status();
-              const ColumnBatch& cols = batch.value();
-              if (cols.AtEnd()) break;
-              CALCITE_RETURN_IF_ERROR(builder->Feed(cols));
-            }
-            *built = true;
-          }
-          return builder->EmitBatch(batch_size);
-        });
+  // The parallel aggregate's builder with one worker: batches feed the
+  // typed accumulator adders straight from raw column storage, and group
+  // keys resolve off hashed key columns without boxing a cell unless the
+  // group is new.
+  std::shared_ptr<ColumnarAggBuilder> builder =
+      ColumnarAggBuilder::Create(group_keys_, agg_calls_);
+  std::vector<int> reads = group_keys_;
+  for (const AggregateCall& call : agg_calls_) {
+    reads.insert(reads.end(), call.args.begin(), call.args.end());
   }
-  // Wider group keys: probe a Row-keyed table with each row of the dense
-  // input batches. The probe key is a scratch row reused across the whole
-  // batch; a fresh copy is only materialized when a new group is inserted.
-  auto in = input(0)->ExecuteBatched(opts);
-  if (!in.ok()) return in;
-  const EnumerableAggregate* node = this;
-  auto state = std::make_shared<HashAggState>();
-  RowBatchPuller pull = std::move(in).value();
-
-  return RowBatchPuller([self, node, state, pull,
-                         batch_size]() -> Result<RowBatch> {
-    const std::vector<int>& group_keys = node->group_keys_;
-    const std::vector<AggregateCall>& agg_calls = node->agg_calls_;
-    if (!state->built) {
-      auto new_group = [&](Row key) {
-        state->group_keys_rows.push_back(std::move(key));
-        std::vector<AggAccumulator> accs;
-        accs.reserve(agg_calls.size());
-        for (const AggregateCall& call : agg_calls) {
-          accs.emplace_back(call);
+  auto columnar = ColumnarInput(*input(0), opts, ReadMask(*input(0), reads));
+  if (!columnar.ok()) return columnar.status();
+  ColumnBatchPuller pull = std::move(columnar).value();
+  auto built = std::make_shared<bool>(false);
+  return RowBatchPuller(
+      [self, builder, pull, built, batch_size]() -> Result<RowBatch> {
+        if (!*built) {
+          for (;;) {
+            CALCITE_ASSIGN_OR_RETURN(ColumnBatch cols, pull());
+            if (cols.AtEnd()) break;
+            CALCITE_RETURN_IF_ERROR(builder->Feed(cols));
+          }
+          *built = true;
         }
-        state->group_accs.push_back(std::move(accs));
-      };
-      Row scratch_key;
-      scratch_key.reserve(group_keys.size());
-      for (;;) {
-        auto batch = pull();
-        if (!batch.ok()) return batch.status();
-        if (batch.value().empty()) break;
-        // First-seen key order keeps the output deterministic.
-        for (const Row& row : batch.value()) {
-          scratch_key.clear();
-          for (int k : group_keys) {
-            scratch_key.push_back(row[static_cast<size_t>(k)]);
-          }
-          size_t group;
-          auto it = state->group_index.find(scratch_key);
-          if (it != state->group_index.end()) {
-            group = it->second;
-          } else {
-            group = state->group_accs.size();
-            state->group_index.emplace(scratch_key, group);
-            new_group(scratch_key);
-          }
-          for (AggAccumulator& acc : state->group_accs[group]) {
-            CALCITE_RETURN_IF_ERROR(acc.Add(row));
-          }
-        }
-      }
-      // Global aggregate over empty input still produces one row.
-      if (group_keys.empty() && state->group_accs.empty()) new_group(Row{});
-      state->built = true;
-    }
-
-    RowBatch out;
-    while (state->emit_pos < state->group_accs.size() &&
-           out.size() < batch_size) {
-      size_t g = state->emit_pos++;
-      Row result = std::move(state->group_keys_rows[g]);
-      result.reserve(result.size() + agg_calls.size());
-      for (const AggAccumulator& acc : state->group_accs[g]) {
-        result.push_back(acc.Finish());
-      }
-      out.push_back(std::move(result));
-    }
-    return out;
-  });
+        return builder->EmitBatch(batch_size);
+      });
 }
 
 // ---------------------------------- Sort -----------------------------------
@@ -1140,28 +941,20 @@ RelNodePtr EnumerableWindow::Copy(RelTraitSet traits,
                                          std::move(inputs[0]), groups_));
 }
 
-Result<RowBatchPuller> EnumerableWindow::ExecuteBatched(
-    const ExecOptions& opts) const {
-  // Window frames reach arbitrarily far across the partition, so the
-  // operator is inherently blocking: materialize, then re-chunk.
-  auto rows = Execute();
-  if (!rows.ok()) return rows.status();
-  RowBatchPuller puller = ChunkRows(std::move(rows).value(),
-                                    NormalizedBatchSize(opts));
-  RelNodePtr self = shared_from_this();
-  return RowBatchPuller(
-      [self, puller]() -> Result<RowBatch> { return puller(); });
+Result<std::vector<Row>> EnumerableWindow::Execute() const {
+  return DrainNode(*this);
 }
 
-Result<std::vector<Row>> EnumerableWindow::Execute() const {
-  auto rows_result = input(0)->Execute();
-  if (!rows_result.ok()) return rows_result;
-  std::vector<Row> data = std::move(rows_result).value();
+namespace {
 
+/// The input rows with one column appended per aggregate call of each
+/// window group.
+Result<std::vector<Row>> EvaluateWindow(const std::vector<WindowGroup>& groups,
+                                        const std::vector<Row>& data) {
   // Output rows start as copies of the input; window columns are appended.
   std::vector<Row> out = data;
 
-  for (const WindowGroup& group : groups_) {
+  for (const WindowGroup& group : groups) {
     // Partition the row indexes.
     std::map<Row, std::vector<size_t>, RowLess> partitions;
     for (size_t i = 0; i < data.size(); ++i) {
@@ -1231,6 +1024,22 @@ Result<std::vector<Row>> EnumerableWindow::Execute() const {
     }
   }
   return out;
+}
+
+}  // namespace
+
+Result<RowBatchPuller> EnumerableWindow::ExecuteBatched(
+    const ExecOptions& opts) const {
+  // Window frames reach arbitrarily far across the partition, so the
+  // operator is inherently blocking: drain the input under the query's
+  // options, compute, then re-chunk.
+  CALCITE_ASSIGN_OR_RETURN(RowBatchPuller in, input(0)->ExecuteBatched(opts));
+  CALCITE_ASSIGN_OR_RETURN(std::vector<Row> data, DrainBatches(in));
+  CALCITE_ASSIGN_OR_RETURN(std::vector<Row> rows, EvaluateWindow(groups_, data));
+  RowBatchPuller puller = ChunkRows(std::move(rows), NormalizedBatchSize(opts));
+  RelNodePtr self = shared_from_this();
+  return RowBatchPuller(
+      [self, puller]() -> Result<RowBatch> { return puller(); });
 }
 
 // ------------------------------- Interpreter -------------------------------

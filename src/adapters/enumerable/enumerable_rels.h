@@ -236,14 +236,9 @@ Row ConcatRows(const ColumnBatch& left, size_t row, const Row& right);
 Row PadNullRight(const Row& left, size_t right_width);
 Row PadNullLeft(size_t left_width, const Row& right);
 
-/// Join runtime helpers shared by the serial joins and the parallel
-/// partitioned hash join.
+/// Join emission helpers shared by the hash join, the nested-loop join and
+/// the test oracle.
 ///
-/// The join key of `row` under one side of the equi-key list, or nullopt
-/// if any key column is NULL (NULL keys never match).
-std::optional<Row> JoinSideKey(const Row& row,
-                               const std::vector<std::pair<int, int>>& keys,
-                               bool left_side);
 /// True for the join types that emit the concatenated row per match
 /// (SEMI/ANTI decide emission per left row instead).
 bool JoinEmitsCombinedRows(JoinType join_type);

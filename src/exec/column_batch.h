@@ -234,8 +234,16 @@ uint64_t HashValue64(const Value& v);
 /// Hash of a join/group key row. A single-column key hashes exactly as
 /// HashValue64 of its one cell — the contract that lets typed column fast
 /// paths and boxed per-row paths probe the same table — and wider keys fold
-/// the per-cell hashes FNV-style.
+/// the per-cell hashes FNV-style, starting from kKeyHashSeed.
 uint64_t HashRowKey64(const Row& key);
+
+/// The multi-column fold of HashRowKey64, for callers that hash key columns
+/// one at a time: h = FoldKeyHash(kKeyHashSeed, hash of cell 0), then
+/// h = FoldKeyHash(h, hash of cell c) for each further cell.
+inline constexpr uint64_t kKeyHashSeed = 0xcbf29ce484222325ULL;
+inline uint64_t FoldKeyHash(uint64_t h, uint64_t cell_hash) {
+  return (h ^ cell_hash) * 0x100000001b3ULL;
+}
 
 /// Blocked column-at-a-time hashing: hashes the `n` cells of `col` named by
 /// sel[0..n) (or rows 0..n-1 when `sel` is null) into out[0..n), agreeing

@@ -1,6 +1,7 @@
 #ifndef CALCITE_EXEC_PARALLEL_MORSEL_H_
 #define CALCITE_EXEC_PARALLEL_MORSEL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <optional>
@@ -22,6 +23,14 @@ struct Morsel {
 /// atomic claim is amortized, but stays small relative to a typical table
 /// so the tail of a scan still spreads across workers.
 inline constexpr size_t kDefaultMorselSize = 4096;
+
+/// Rows per morsel for `total_rows` rows split across `num_threads`
+/// workers: small enough that the tail of a scan still spreads across the
+/// pool, large enough that the atomic claim amortizes.
+inline size_t PickMorselSize(size_t total_rows, size_t num_threads) {
+  size_t target = total_rows / (num_threads * 4);
+  return std::min(kDefaultMorselSize, std::max<size_t>(256, target));
+}
 
 /// Splits the row range [0, total_rows) into morsels that workers claim
 /// with a single atomic fetch-add — lock-free and contention-light. Claims

@@ -1,25 +1,21 @@
 #include "exec/parallel/parallel_exec.h"
 
 #include <algorithm>
-#include <atomic>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "adapters/enumerable/aggregates.h"
 #include "adapters/enumerable/columnar_agg.h"
 #include "adapters/enumerable/enumerable_rels.h"
+#include "adapters/enumerable/hash_join.h"
 #include "exec/arena.h"
 #include "exec/column_batch.h"
 #include "exec/parallel/exchange.h"
 #include "exec/parallel/morsel.h"
 #include "exec/parallel/task_scheduler.h"
-#include "exec/simd.h"
 #include "rel/core.h"
 #include "rex/rex_columnar.h"
 #include "rex/rex_fuse.h"
-#include "rex/rex_interpreter.h"
 
 namespace calcite {
 
@@ -36,13 +32,6 @@ struct PipelineStage {
   RexNodePtr filter;
   const std::vector<RexNodePtr>* project = nullptr;
 };
-
-/// Rows per morsel: small enough that the tail of a scan still spreads
-/// across the pool, large enough that the atomic claim amortizes.
-size_t PickMorselSize(size_t total_rows, size_t num_threads) {
-  size_t target = total_rows / (num_threads * 4);
-  return std::min(kDefaultMorselSize, std::max<size_t>(256, target));
-}
 
 /// A recognized morsel-parallelizable fragment: a (Filter|Project)* chain
 /// over a leaf that workers can claim morsels of. Shared read-only by every
@@ -372,90 +361,6 @@ Result<RowBatchPuller> ExecutePipelineParallel(FragmentSource fragment,
 // Partitioned hash aggregate (thread-local build + merge)
 // ---------------------------------------------------------------------------
 
-/// Thread-local state of a wider-key aggregate (ColumnarAggBuilder covers
-/// zero or one group key): one group table per worker, merged by the
-/// consumer once every morsel has been aggregated. Group output order is
-/// first-seen order across the merge — deterministic for one thread,
-/// unspecified across threads (workers race for morsels).
-struct LocalAggState {
-  std::unordered_map<Row, size_t, RowHash> index;
-  std::vector<Row> keys;
-  std::vector<std::vector<AggAccumulator>> accs;
-};
-
-Status FeedLocalAgg(const std::vector<int>& group_keys,
-                    const std::vector<AggregateCall>& agg_calls,
-                    const RowBatch& rows, LocalAggState* local) {
-  Row scratch_key;
-  scratch_key.reserve(group_keys.size());
-  for (const Row& row : rows) {
-    scratch_key.clear();
-    for (int k : group_keys) {
-      scratch_key.push_back(row[static_cast<size_t>(k)]);
-    }
-    size_t group;
-    auto it = local->index.find(scratch_key);
-    if (it != local->index.end()) {
-      group = it->second;
-    } else {
-      group = local->accs.size();
-      local->index.emplace(scratch_key, group);
-      local->keys.push_back(scratch_key);
-      std::vector<AggAccumulator> accs;
-      accs.reserve(agg_calls.size());
-      for (const AggregateCall& call : agg_calls) accs.emplace_back(call);
-      local->accs.push_back(std::move(accs));
-    }
-    for (AggAccumulator& acc : local->accs[group]) {
-      CALCITE_RETURN_IF_ERROR(acc.Add(row));
-    }
-  }
-  return Status::OK();
-}
-
-struct ParallelAggState {
-  bool built = false;
-  /// Set on the columnar path: the merged builder emits directly.
-  std::unique_ptr<ColumnarAggBuilder> merged;
-  std::vector<Row> out_rows;
-  size_t pos = 0;
-};
-
-/// Folds the worker-local wider-key tables into `state->out_rows`
-/// (partial-state merge, not re-aggregation).
-Status MergeLocalAggs(const std::vector<AggregateCall>& agg_calls,
-                      std::vector<LocalAggState>* locals,
-                      ParallelAggState* state) {
-  std::unordered_map<Row, size_t, RowHash> merged_index;
-  std::vector<Row> merged_keys;
-  std::vector<std::vector<AggAccumulator>> merged_accs;
-  for (LocalAggState& local : *locals) {
-    for (size_t g = 0; g < local.keys.size(); ++g) {
-      auto it = merged_index.find(local.keys[g]);
-      if (it == merged_index.end()) {
-        merged_index.emplace(local.keys[g], merged_keys.size());
-        merged_keys.push_back(std::move(local.keys[g]));
-        merged_accs.push_back(std::move(local.accs[g]));
-      } else {
-        std::vector<AggAccumulator>& into = merged_accs[it->second];
-        for (size_t a = 0; a < into.size(); ++a) {
-          CALCITE_RETURN_IF_ERROR(into[a].MergeFrom(local.accs[g][a]));
-        }
-      }
-    }
-  }
-  state->out_rows.reserve(merged_keys.size());
-  for (size_t g = 0; g < merged_keys.size(); ++g) {
-    Row result = std::move(merged_keys[g]);
-    result.reserve(result.size() + agg_calls.size());
-    for (const AggAccumulator& acc : merged_accs[g]) {
-      result.push_back(acc.Finish());
-    }
-    state->out_rows.push_back(std::move(result));
-  }
-  return Status::OK();
-}
-
 Result<RowBatchPuller> ExecuteAggregateParallel(const Aggregate& agg,
                                                 FragmentSource fragment,
                                                 const ExecOptions& opts) {
@@ -464,71 +369,49 @@ Result<RowBatchPuller> ExecuteAggregateParallel(const Aggregate& agg,
   auto src = std::make_shared<const FragmentSource>(std::move(fragment));
   RelNodePtr self = agg.shared_from_this();  // pins group_keys_/agg_calls_
   const Aggregate* node = &agg;
-  auto state = std::make_shared<ParallelAggState>();
+  // Set once the build phase has run: the merged builder emits directly.
+  auto merged = std::make_shared<std::unique_ptr<ColumnarAggBuilder>>();
 
-  return RowBatchPuller([src, self, node, state, threads, batch_size,
+  return RowBatchPuller([src, self, node, merged, threads, batch_size,
                          opts]() -> Result<RowBatch> {
-    const std::vector<int>& group_keys = node->group_keys();
-    const std::vector<AggregateCall>& agg_calls = node->agg_calls();
-    if (!state->built) {
-      // Build phase: worker-local aggregation over morsels — a
-      // ColumnarAggBuilder fed straight from the stage chain's columns
-      // where the grouping shape allows, else a Row-keyed table over the
-      // boxed survivors — then a serial merge. The scheduler lives only for
-      // this phase; its destructor joins the workers, so the locals are
-      // safe to read afterwards.
+    if (*merged == nullptr) {
+      // Build phase: one ColumnarAggBuilder per worker, fed straight from
+      // the stage chain's columns, then a serial merge (partial-state
+      // merge, not re-aggregation). The scheduler lives only for this
+      // phase; its destructor joins the workers, so the builders are safe
+      // to read afterwards. Group output order is first-seen order across
+      // the merge: unspecified across threads (workers race for morsels).
       std::vector<std::unique_ptr<ColumnarAggBuilder>> builders(threads);
       for (auto& builder : builders) {
-        builder = ColumnarAggBuilder::TryCreate(group_keys, agg_calls);
+        builder = ColumnarAggBuilder::Create(node->group_keys(),
+                                             node->agg_calls());
       }
-      std::vector<LocalAggState> locals(threads);
       auto cancel = std::make_shared<QueryCancelState>();
       {
         auto morsels = src->Morsels(threads);
         TaskScheduler scheduler(threads);
         for (size_t t = 0; t < threads; ++t) {
           ColumnarAggBuilder* builder = builders[t].get();
-          LocalAggState* local = &locals[t];
-          scheduler.Submit([&, builder, local]() {
+          scheduler.Submit([&, builder]() {
             MorselRunner runner(src, opts);
             DriveWorker(&runner, morsels.get(), cancel.get(),
                         [&](MorselBatch&& batch) -> Status {
-                          if (builder != nullptr) {
-                            CALCITE_ASSIGN_OR_RETURN(
-                                ColumnBatch cols,
-                                runner.Columns(std::move(batch)));
-                            return builder->Feed(cols);
-                          }
-                          return FeedLocalAgg(group_keys, agg_calls,
-                                              runner.Rows(std::move(batch)),
-                                              local);
+                          CALCITE_ASSIGN_OR_RETURN(
+                              ColumnBatch cols,
+                              runner.Columns(std::move(batch)));
+                          return builder->Feed(cols);
                         });
           });
         }
         scheduler.WaitIdle();
       }
       CALCITE_RETURN_IF_ERROR(cancel->status());
-      if (builders[0] != nullptr) {
-        for (size_t t = 1; t < threads; ++t) {
-          CALCITE_RETURN_IF_ERROR(builders[0]->MergeFrom(*builders[t]));
-        }
-        state->merged = std::move(builders[0]);
-      } else {
-        CALCITE_RETURN_IF_ERROR(MergeLocalAggs(agg_calls, &locals, state.get()));
+      for (size_t t = 1; t < threads; ++t) {
+        CALCITE_RETURN_IF_ERROR(builders[0]->MergeFrom(*builders[t]));
       }
-      state->built = true;
+      *merged = std::move(builders[0]);
     }
-    if (state->merged != nullptr) {
-      return state->merged->EmitBatch(batch_size);
-    }
-    RowBatch out;
-    size_t n = std::min(batch_size, state->out_rows.size() - state->pos);
-    out.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      out.push_back(std::move(state->out_rows[state->pos + i]));
-    }
-    state->pos += n;
-    return out;
+    return (*merged)->EmitBatch(batch_size);
   });
 }
 
@@ -536,233 +419,16 @@ Result<RowBatchPuller> ExecuteAggregateParallel(const Aggregate& agg,
 // Partitioned hash join
 // ---------------------------------------------------------------------------
 
-/// Hashes a block of extracted join keys at once (HashRowKey64 semantics).
-/// All-single-int64 blocks gather the raw keys into a scratch column and
-/// hash in SIMD lanes; everything else hashes per row. An empty Row is the
-/// "no key" sentinel (a real key is never empty) — its hash slot is written
-/// arbitrarily and must not be read.
-void HashKeyBlock(const std::vector<Row>& keys, std::vector<uint64_t>* out,
-                  std::vector<int64_t>* i64_scratch) {
-  const size_t n = keys.size();
-  out->resize(n);
-  bool single_int = n >= 8;
-  if (single_int) {
-    for (const Row& k : keys) {
-      if (k.empty()) continue;
-      if (k.size() != 1 || !k[0].is_int()) {
-        single_int = false;
-        break;
-      }
-    }
-  }
-  if (single_int) {
-    i64_scratch->resize(n);
-    for (size_t j = 0; j < n; ++j) {
-      (*i64_scratch)[j] = keys[j].empty() ? 0 : keys[j][0].AsInt();
-    }
-    simd::HashI64(i64_scratch->data(), n, out->data());
-    return;
-  }
-  for (size_t j = 0; j < n; ++j) {
-    if (!keys[j].empty()) (*out)[j] = HashRowKey64(keys[j]);
-  }
-}
-
-/// One partition of the build-side table: build entries in insertion order
-/// plus a hash index over them. The index is keyed by the full 64-bit key
-/// hash (precomputed in blocks on both build and probe side); probes verify
-/// candidates with Row equality, so the hash only routes.
-struct BuildPartition {
-  std::vector<std::pair<Row, size_t>> entries;  // (key, build row index)
-  std::unordered_map<uint64_t, std::vector<uint32_t>> index;
-};
-
-/// Shared read-only state of a parallel join probe: the drained build side,
-/// the per-partition hash tables (each written by exactly one build task,
-/// read by every probe worker), and the matched flags outer joins need.
+/// State of a parallel join shared by the build, the probe workers and
+/// the consumer-side tail: the probe fragment and the hash table, with one
+/// partition per worker.
 struct ParallelJoinShared {
   FragmentSourcePtr probe;
   RelNodePtr self;        // pins condition / row types
   RelNodePtr build_node;  // right input, drained serially
-  std::vector<std::pair<int, int>> keys;
-  std::vector<RexNodePtr> remaining;
-  JoinType join_type;
   size_t left_width = 0;
-  size_t right_width = 0;
-  size_t partitions = 0;
-  std::vector<Row> right_data;
-  std::vector<BuildPartition> tables;
-  /// Matched flags are racy-by-design across probe workers: only ever set
-  /// to true, read after the workers have been joined.
-  std::unique_ptr<std::atomic<bool>[]> right_matched;
+  HashJoinTable table;
 };
-
-/// Drains the build side through its own (possibly itself parallel) batch
-/// pipeline and builds the partitioned hash table: one classify pass over
-/// morsels of the build rows, then one insert task per partition — no two
-/// tasks ever touch the same partition, so the build is lock-free.
-Status BuildPartitionedTable(ParallelJoinShared* shared,
-                             TaskScheduler* scheduler,
-                             const ExecOptions& opts) {
-  auto build = shared->build_node->ExecuteBatched(opts);
-  if (!build.ok()) return build.status();
-  const RowBatchPuller& pull = build.value();
-  for (;;) {
-    auto batch = pull();
-    if (!batch.ok()) return batch.status();
-    if (batch.value().empty()) break;
-    for (Row& row : batch.value()) {
-      shared->right_data.push_back(std::move(row));
-    }
-  }
-
-  const size_t threads = opts.num_threads;
-  const size_t partitions = shared->partitions;
-  // Classify pass: workers claim morsels of the build rows and bucket
-  // (key, row index) pairs by key partition, so the insert pass moves the
-  // already-built keys instead of recomputing them. NULL keys never match
-  // and are skipped — for RIGHT/FULL they surface through the unmatched
-  // tail.
-  struct KeyedIndex {
-    Row key;
-    size_t row;
-    uint64_t hash;
-  };
-  std::vector<std::vector<std::vector<KeyedIndex>>> buckets(
-      threads, std::vector<std::vector<KeyedIndex>>(partitions));
-  {
-    MorselSource morsels(shared->right_data.size(),
-                         PickMorselSize(shared->right_data.size(), threads));
-    for (size_t t = 0; t < threads; ++t) {
-      std::vector<std::vector<KeyedIndex>>* mine = &buckets[t];
-      ParallelJoinShared* sh = shared;
-      scheduler->Submit([sh, mine, &morsels, partitions]() {
-        std::vector<Row> keys;
-        std::vector<size_t> rows;
-        std::vector<uint64_t> hashes;
-        std::vector<int64_t> scratch;
-        while (auto morsel = morsels.Next()) {
-          // Extract the morsel's keys, then hash them in one block.
-          keys.clear();
-          rows.clear();
-          for (size_t i = morsel->begin; i < morsel->end; ++i) {
-            auto key = JoinSideKey(sh->right_data[i], sh->keys,
-                                   /*left_side=*/false);
-            if (!key.has_value()) continue;
-            keys.push_back(std::move(*key));
-            rows.push_back(i);
-          }
-          HashKeyBlock(keys, &hashes, &scratch);
-          for (size_t j = 0; j < keys.size(); ++j) {
-            (*mine)[hashes[j] % partitions].push_back(
-                KeyedIndex{std::move(keys[j]), rows[j], hashes[j]});
-          }
-        }
-      });
-    }
-    scheduler->WaitIdle();
-  }
-  // Insert pass: partition p is owned by exactly one task. Inserts reuse
-  // the hashes the classify pass computed.
-  shared->tables.resize(partitions);
-  for (size_t p = 0; p < partitions; ++p) {
-    ParallelJoinShared* sh = shared;
-    std::vector<std::vector<std::vector<KeyedIndex>>>* all = &buckets;
-    scheduler->Submit([sh, all, p]() {
-      BuildPartition& part = sh->tables[p];
-      for (auto& worker_buckets : *all) {
-        for (KeyedIndex& entry : worker_buckets[p]) {
-          const uint32_t eid = static_cast<uint32_t>(part.entries.size());
-          part.index[entry.hash].push_back(eid);
-          part.entries.emplace_back(std::move(entry.key), entry.row);
-        }
-      }
-    });
-  }
-  scheduler->WaitIdle();
-
-  shared->right_matched =
-      std::make_unique<std::atomic<bool>[]>(shared->right_data.size());
-  for (size_t i = 0; i < shared->right_data.size(); ++i) {
-    shared->right_matched[i].store(false, std::memory_order_relaxed);
-  }
-  return Status::OK();
-}
-
-/// Worker-local buffers of the probe loop, reused batch to batch.
-struct ProbeScratch {
-  std::vector<Row> keys;
-  std::vector<uint64_t> hashes;
-  std::vector<int64_t> i64;
-};
-
-/// Probes the live rows of one left batch against the read-only partition
-/// tables and appends the output per the join type to `out`. Join keys are
-/// read straight off the key columns and hashed in one block; the full
-/// left row is boxed only when the row emits output.
-Status ProbeBatch(const ParallelJoinShared& shared, const ColumnBatch& cols,
-                  ProbeScratch* scratch, RowBatch* out) {
-  const size_t active = cols.ActiveCount();
-  // An empty Row marks a NULL-keyed row that can never match.
-  scratch->keys.resize(active);
-  for (size_t k = 0; k < active; ++k) {
-    const size_t i = cols.ActiveIndex(k);
-    Row& key = scratch->keys[k];
-    key.clear();
-    for (const auto& [l, r] : shared.keys) {
-      (void)r;
-      const ColumnVector& c = cols.cols[static_cast<size_t>(l)];
-      if (c.IsNullAt(i)) {
-        key.clear();
-        break;
-      }
-      key.push_back(c.GetValue(i));
-    }
-  }
-  HashKeyBlock(scratch->keys, &scratch->hashes, &scratch->i64);
-  for (size_t k = 0; k < active; ++k) {
-    const size_t i = cols.ActiveIndex(k);
-    const Row& key = scratch->keys[k];
-    Row lrow;
-    bool have_lrow = false;
-    auto left_row = [&]() -> Row& {
-      if (!have_lrow) {
-        lrow = cols.GatherRow(i);
-        have_lrow = true;
-      }
-      return lrow;
-    };
-    bool matched = false;
-    if (!key.empty()) {
-      const uint64_t h = scratch->hashes[k];
-      const BuildPartition& part = shared.tables[h % shared.partitions];
-      auto it = part.index.find(h);
-      if (it != part.index.end()) {
-        for (uint32_t eid : it->second) {
-          if (!(part.entries[eid].first == key)) continue;  // collision
-          const size_t ri = part.entries[eid].second;
-          Row combined = ConcatRows(cols, i, shared.right_data[ri]);
-          bool pass = true;
-          for (const RexNodePtr& pred : shared.remaining) {
-            CALCITE_ASSIGN_OR_RETURN(pass,
-                                     RexInterpreter::EvalPredicate(pred, combined));
-            if (!pass) break;
-          }
-          if (!pass) continue;
-          matched = true;
-          shared.right_matched[ri].store(true, std::memory_order_relaxed);
-          if (JoinEmitsCombinedRows(shared.join_type)) {
-            out->push_back(std::move(combined));
-          }
-          if (shared.join_type == JoinType::kSemi) break;
-        }
-      }
-    }
-    JoinEmitPerLeftRow(shared.join_type, matched, left_row, shared.right_width,
-                       out);
-  }
-  return Status::OK();
-}
 
 /// Hands accumulated output to the exchange in <= batch_size chunks.
 void PushChunks(RowBatch* out, size_t batch_size, ExchangeQueue* queue) {
@@ -777,14 +443,6 @@ void PushChunks(RowBatch* out, size_t batch_size, ExchangeQueue* queue) {
   out->clear();
 }
 
-/// Consumer-side tail of a RIGHT/FULL join: emitted after the gather
-/// reports end-of-stream, i.e. after every probe worker has been joined
-/// (which orders their matched-flag writes before these reads).
-struct JoinTailState {
-  bool in_tail = false;
-  size_t pos = 0;
-};
-
 Result<RowBatchPuller> ExecuteHashJoinParallel(
     const Join& join, std::vector<std::pair<int, int>> keys,
     std::vector<RexNodePtr> remaining, FragmentSource probe,
@@ -795,19 +453,25 @@ Result<RowBatchPuller> ExecuteHashJoinParallel(
   shared->probe = std::make_shared<const FragmentSource>(std::move(probe));
   shared->self = join.shared_from_this();
   shared->build_node = join.input(1);
-  shared->keys = std::move(keys);
-  shared->remaining = std::move(remaining);
-  shared->join_type = join.join_type();
   shared->left_width = join.input(0)->row_type()->fields().size();
-  shared->right_width = join.input(1)->row_type()->fields().size();
-  shared->partitions = threads;
+  shared->table.keys = std::move(keys);
+  shared->table.remaining = std::move(remaining);
+  shared->table.join_type = join.join_type();
+  shared->table.right_width = join.input(1)->row_type()->fields().size();
 
   auto cancel = std::make_shared<QueryCancelState>();
   auto queue = std::make_shared<ExchangeQueue>(threads * 2, threads);
   auto start = [shared, cancel, queue, threads, batch_size,
                 opts]() -> std::shared_ptr<TaskScheduler> {
     auto scheduler = std::make_shared<TaskScheduler>(threads);
-    Status status = BuildPartitionedTable(shared.get(), scheduler.get(), opts);
+    // The build side drains through its own (possibly itself parallel)
+    // pipeline, then hashes into one partition per worker.
+    Status status = [&]() -> Status {
+      CALCITE_ASSIGN_OR_RETURN(RowBatchPuller build,
+                               shared->build_node->ExecuteBatched(opts));
+      return BuildHashJoinTable(build, threads, scheduler.get(),
+                                &shared->table);
+    }();
     if (!status.ok()) {
       cancel->Cancel(std::move(status));
       queue->Cancel();
@@ -824,7 +488,7 @@ Result<RowBatchPuller> ExecuteHashJoinParallel(
                       CALCITE_ASSIGN_OR_RETURN(
                           ColumnBatch cols, runner.Columns(std::move(batch)));
                       CALCITE_RETURN_IF_ERROR(
-                          ProbeBatch(*shared, cols, &scratch, &out));
+                          ProbeBatch(shared->table, cols, &scratch, &out));
                       PushChunks(&out, batch_size, queue.get());
                       return Status::OK();
                     });
@@ -835,30 +499,20 @@ Result<RowBatchPuller> ExecuteHashJoinParallel(
     return scheduler;
   };
 
+  // The RIGHT/FULL unmatched tail runs on the consumer once the gather
+  // reports end-of-stream, i.e. after every probe worker has been joined
+  // (which orders their matched-flag writes before these reads).
   RowBatchPuller gather = MakeGatherPuller(cancel, queue, std::move(start));
-  auto tail = std::make_shared<JoinTailState>();
-  return RowBatchPuller([gather, shared, tail,
+  auto in_tail = std::make_shared<bool>(false);
+  return RowBatchPuller([gather, shared, in_tail,
                          batch_size]() -> Result<RowBatch> {
-    if (!tail->in_tail) {
+    if (!*in_tail) {
       auto batch = gather();
-      if (!batch.ok()) return batch;
-      if (!batch.value().empty()) return batch;
-      tail->in_tail = true;
+      if (!batch.ok() || !batch.value().empty()) return batch;
+      *in_tail = true;
     }
-    if (shared->join_type == JoinType::kRight ||
-        shared->join_type == JoinType::kFull) {
-      RowBatch out;
-      while (tail->pos < shared->right_data.size() &&
-             out.size() < batch_size) {
-        size_t i = tail->pos++;
-        if (!shared->right_matched[i].load(std::memory_order_relaxed)) {
-          out.push_back(
-              PadNullLeft(shared->left_width, shared->right_data[i]));
-        }
-      }
-      if (!out.empty()) return out;
-    }
-    return RowBatch{};
+    return shared->table.build.NextUnmatched(shared->table.join_type,
+                                             shared->left_width, batch_size);
   });
 }
 

@@ -190,17 +190,29 @@ inline uint64_t HashI64One(int64_t v) {
   return Mix64(bits);
 }
 
+/// Bit image every NaN is canonicalized to before hashing or bit-exact
+/// group matching: the engine's value ordering puts all NaNs in one group,
+/// whatever their sign or payload.
+inline constexpr uint64_t kCanonicalNaNBits = 0x7ff8000000000000ULL;
+
+/// The bit image of `d` with every NaN mapped to kCanonicalNaNBits.
+inline uint64_t F64Bits(double d) {
+  if (d != d) return kCanonicalNaNBits;
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
 /// Hash of one double cell, unified with HashI64One: integral doubles hash
-/// as the int64 they equal, everything else (NaN, inf, fractions) by bits.
-/// -0.0 truncates to 0 and so hashes like +0.0, matching their equality.
+/// as the int64 they equal, everything else (NaN, inf, fractions) by bits,
+/// all NaNs by the canonical NaN's. -0.0 truncates to 0 and so hashes like
+/// +0.0, matching their equality.
 inline uint64_t HashF64One(double d) {
   if (d > -9007199254740992.0 && d < 9007199254740992.0) {  // (-2^53, 2^53)
     int64_t i = static_cast<int64_t>(d);
     if (static_cast<double>(i) == d) return Mix64(static_cast<uint64_t>(i));
   }
-  uint64_t bits;
-  std::memcpy(&bits, &d, sizeof(bits));
-  return Mix64(bits);
+  return Mix64(F64Bits(d));
 }
 
 /// FNV-1a over a byte span, avalanched through Mix64 (string cells).

@@ -99,12 +99,7 @@ class Value {
   Data data_;
 };
 
-/// Hash functor for Value keys in unordered containers.
-struct ValueHash {
-  size_t operator()(const Value& v) const { return v.Hash(); }
-};
-
-/// Hash functor for Row keys (e.g. hash-join and hash-aggregate tables).
+/// Hash functor for Row keys in unordered containers.
 struct RowHash {
   size_t operator()(const Row& row) const;
 };

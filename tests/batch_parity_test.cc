@@ -426,6 +426,62 @@ void ExpectSameRows(const std::vector<Row>& got, const std::vector<Row>& want,
   }
 }
 
+// The window drains its input under the query's ExecOptions: a forced
+// access path reaches the DiskTable scan under it, and the batch size caps
+// its output batches.
+TEST_F(BatchParityTest, WindowHonorsExecOptions) {
+  char tmpl[] = "/tmp/calcite_window_opts_XXXXXX";
+  char* dir = mkdtemp(tmpl);
+  ASSERT_NE(dir, nullptr);
+  const std::string dir_path = dir;
+  {
+    std::vector<Row> rows = MakeRows(2000);
+    auto row_type = TestRowType(tf_);
+    auto disk_table =
+        storage::DiskTable::Create(dir_path + "/t.db", row_type, 0);
+    ASSERT_TRUE(disk_table.ok()) << disk_table.status().ToString();
+    ASSERT_TRUE((*disk_table)->InsertRows(rows).ok());
+
+    // A primary-key range, so both access paths are open to the scan.
+    auto cond = rex_.MakeCall(OpKind::kLessThan,
+                              {Field(row_type, 0), rex_.MakeIntLiteral(500)});
+    ASSERT_TRUE(cond.ok());
+    WindowGroup group;
+    group.partition_keys = {1};
+    group.order = RelCollation::Of({0});
+    AggregateCall c;
+    c.kind = AggKind::kCount;
+    c.args = {0};
+    c.name = "cnt";
+    group.agg_calls.push_back(c);
+    auto window_type = DeriveWindowRowType(row_type, {group}, tf_);
+    auto make_plan = [&](TablePtr table) {
+      auto logical = LogicalTableScan::Create(table, {"t"},
+                                              Convention::Enumerable(), tf_);
+      auto scan = EnumerableTableScan::Create(
+          *static_cast<const TableScan*>(logical.get()));
+      return EnumerableWindow::Create(
+          EnumerableFilter::Create(scan, cond.value()), {group}, window_type);
+    };
+    RelNodePtr disk_plan = make_plan(*disk_table);
+    auto want =
+        make_plan(std::make_shared<MemTable>(row_type, rows))->Execute();
+    ASSERT_TRUE(want.ok());
+    ASSERT_EQ(want.value().size(), 500u);
+
+    for (AccessPath path : {AccessPath::kForceHeap, AccessPath::kForceIndex}) {
+      const bool index = path == AccessPath::kForceIndex;
+      auto got = RunBatched(disk_plan, 64, path);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ((*disk_table)->last_scan_used_index(), index);
+      ExpectSameRows(got.value(), want.value(),
+                     std::string("window over ") + (index ? "index" : "heap"));
+    }
+  }
+  std::error_code ec;
+  std::filesystem::remove_all(dir_path, ec);
+}
+
 TEST_F(BatchParityTest, StackedFiltersSelectionParity) {
   for (size_t n : kCardinalities) {
     RelNodePtr leaf = Leaf(n);

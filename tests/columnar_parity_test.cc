@@ -19,11 +19,15 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "adapters/enumerable/columnar_agg.h"
 #include "adapters/enumerable/enumerable_rels.h"
 #include "exec/arena.h"
 #include "exec/column_batch.h"
@@ -77,6 +81,9 @@ Result<std::vector<Row>> RunPlan(const RelNodePtr& node, const ExecOptions& opts
     auto batch = (puller.value())();
     if (!batch.ok()) return batch.status();
     if (batch.value().empty()) break;
+    // Every batch respects the cap (joins split skewed output through
+    // their pending buffer).
+    EXPECT_LE(batch.value().size(), opts.Normalized().batch_size);
     for (Row& row : batch.value()) out.push_back(std::move(row));
   }
   return out;
@@ -92,10 +99,26 @@ std::vector<std::string> Strings(const std::vector<Row>& rows) {
 /// Evaluates `node` with the per-row oracle (the reference) and asserts the
 /// engine produces identical rows at several batch sizes, then that 4-way
 /// parallel execution, fused and unfused, produces the same multiset.
-void ExpectColumnarParity(const RelNodePtr& node, const std::string& label) {
+/// `unified_key`, when set, names an output group-key column in which an
+/// Int and a numerically equal Double share one group: the parallel legs
+/// compare it by numeric value, because which of the two cells a group
+/// keeps depends on which worker saw the group first.
+void ExpectColumnarParity(const RelNodePtr& node, const std::string& label,
+                          std::optional<size_t> unified_key = std::nullopt) {
   auto base = testing::OracleRows(node);
   ASSERT_TRUE(base.ok()) << label << ": " << base.status().ToString();
   std::vector<std::string> want = Strings(base.value());
+  auto parallel_strings = [&](std::vector<Row> rows) {
+    if (unified_key.has_value()) {
+      for (Row& row : rows) {
+        Value& key = row[*unified_key];
+        if (key.is_numeric()) key = Value::Double(key.AsDouble());
+      }
+    }
+    std::vector<std::string> out = Strings(rows);
+    std::sort(out.begin(), out.end());
+    return out;
+  };
 
   for (size_t bs : {size_t{1}, size_t{3}, size_t{1023}, size_t{1024}}) {
     ExecOptions col_opts;
@@ -110,8 +133,7 @@ void ExpectColumnarParity(const RelNodePtr& node, const std::string& label) {
     }
   }
 
-  std::vector<std::string> want_sorted = want;
-  std::sort(want_sorted.begin(), want_sorted.end());
+  const std::vector<std::string> want_sorted = parallel_strings(base.value());
   for (bool fusion : {true, false}) {
     ExecOptions par_opts;
     par_opts.enable_fusion = fusion;
@@ -119,9 +141,8 @@ void ExpectColumnarParity(const RelNodePtr& node, const std::string& label) {
     auto got = RunPlan(node, par_opts);
     ASSERT_TRUE(got.ok()) << label << " threads=4 fusion=" << fusion << ": "
                           << got.status().ToString();
-    std::vector<std::string> got_s = Strings(got.value());
-    std::sort(got_s.begin(), got_s.end());
-    ASSERT_EQ(got_s, want_sorted) << label << " threads=4 fusion=" << fusion;
+    ASSERT_EQ(parallel_strings(std::move(got).value()), want_sorted)
+        << label << " threads=4 fusion=" << fusion;
   }
 }
 
@@ -139,6 +160,29 @@ class ColumnarParityTest : public ::testing::Test {
         LogicalTableScan::Create(table, {"t"}, Convention::Enumerable(), tf_);
     return EnumerableTableScan::Create(
         *static_cast<const TableScan*>(logical.get()));
+  }
+
+  /// Scan(n)'s columns plus m DOUBLE?, a column whose cells mix Int and
+  /// Double, so it decomposes boxed: Int(2), Double(2.0), Int(3),
+  /// Double(2.5), NULL in turn.
+  RelNodePtr MixedScan(size_t n) {
+    RelDataTypePtr base = TestRowType(tf_);
+    std::vector<std::string> names;
+    std::vector<RelDataTypePtr> types;
+    for (const auto& field : base->fields()) {
+      names.push_back(field.name);
+      types.push_back(field.type);
+    }
+    names.push_back("m");
+    types.push_back(tf_.CreateSqlType(SqlTypeName::kDouble, -1, true));
+    std::vector<Row> rows = MakeRows(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Value cells[] = {Value::Int(2), Value::Double(2.0), Value::Int(3),
+                             Value::Double(2.5), Value::Null()};
+      rows[i].push_back(cells[i % 5]);
+    }
+    return ScanOf(std::make_shared<MemTable>(
+        tf_.CreateStructType(names, types), std::move(rows)));
   }
 
   RexNodePtr Field(const RelDataTypePtr& row_type, int i) {
@@ -290,7 +334,7 @@ TEST_F(ColumnarParityTest, Aggregate) {
           EnumerableAggregate::Create(scan, {2}, calls, row_type),
           "Aggregate(s) n=" + std::to_string(n));
     }
-    // Two group keys: the columnar builder declines, row path runs.
+    // Two group keys.
     {
       auto row_type = DeriveAggregateRowType(rt, {1, 2}, calls, tf_);
       ExpectColumnarParity(
@@ -309,7 +353,99 @@ TEST_F(ColumnarParityTest, Aggregate) {
               row_type),
           "Aggregate(filtered) n=" + std::to_string(n));
     }
+    // Three keys: a boxed column mixing Int(2) and Double(2.0) (one group)
+    // with Int(3), Double(2.5) and NULL; the NULL-heavy int; the string.
+    {
+      RelNodePtr mixed = MixedScan(n);
+      const RelDataTypePtr& mt = mixed->row_type();
+      auto row_type = DeriveAggregateRowType(mt, {5, 1, 2}, calls, tf_);
+      ExpectColumnarParity(
+          EnumerableAggregate::Create(mixed, {5, 1, 2}, calls, row_type),
+          "Aggregate(m,k,s) n=" + std::to_string(n), /*unified_key=*/0);
+      auto m_only = DeriveAggregateRowType(mt, {5}, calls, tf_);
+      ExpectColumnarParity(
+          EnumerableAggregate::Create(mixed, {5}, calls, m_only),
+          "Aggregate(m) n=" + std::to_string(n), /*unified_key=*/0);
+    }
   }
+}
+
+// NaN group keys: every NaN cell resolves to the one NaN group, whether
+// the key column is typed or boxed, through Feed and through MergeFrom.
+TEST_F(ColumnarParityTest, NaNGroupKeysFormOneGroup) {
+  constexpr size_t kRows = size_t{1} << 16;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  auto dbl_null = tf_.CreateSqlType(SqlTypeName::kDouble, -1, true);
+  auto row_type = tf_.CreateStructType({"z", "w"}, {dbl_null, dbl_null});
+  // z: typed DOUBLE — NaN, integral doubles and NULL. w: boxed (it also
+  // stores Ints) — NaN, Int, Double and NULL.
+  std::vector<Row> rows;
+  rows.reserve(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    Value z = i % 5 == 0   ? Value::Null()
+              : i % 5 < 4 ? Value::Double(nan)
+                          : Value::Double(static_cast<double>(i % 7));
+    Value w = i % 6 == 0   ? Value::Null()
+              : i % 6 < 4 ? Value::Double(nan)
+              : i % 6 == 4 ? Value::Int(static_cast<int64_t>(i % 3))
+                           : Value::Double(static_cast<double>(i % 3));
+    rows.push_back({std::move(z), std::move(w)});
+  }
+  auto table = std::make_shared<MemTable>(row_type, rows);
+  TypeFactory tf;
+  TableColumnsPtr columns = table->MaterializedColumns(tf);
+  ASSERT_NE(columns, nullptr);
+  ASSERT_EQ(columns->cols[0].type, PhysType::kDouble);
+  ASSERT_EQ(columns->cols[1].type, PhysType::kValue);
+
+  AggregateCall count;
+  count.kind = AggKind::kCountStar;
+  count.name = "c";
+  for (const std::vector<int>& keys :
+       {std::vector<int>{0}, std::vector<int>{1}, std::vector<int>{0, 1}}) {
+    const std::string label = "keys=" + std::to_string(keys.size()) + "," +
+                              std::to_string(keys[0]);
+    auto agg_type = DeriveAggregateRowType(row_type, keys, {count}, tf_);
+    RelNodePtr plan =
+        EnumerableAggregate::Create(ScanOf(table), keys, {count}, agg_type);
+    auto want = testing::OracleRows(plan);
+    ASSERT_TRUE(want.ok()) << label;
+    std::vector<std::string> want_s = Strings(want.value());
+
+    // One builder fed the whole column in one batch.
+    auto whole = ColumnarAggBuilder::Create(keys, {count});
+    ASSERT_TRUE(whole->Feed(SliceTableColumns(columns, 0, kRows, table)).ok());
+    EXPECT_EQ(Strings(whole->EmitBatch(kRows)), want_s) << label << " Feed";
+
+    // Two builders fed one half each, then merged.
+    auto first = ColumnarAggBuilder::Create(keys, {count});
+    auto second = ColumnarAggBuilder::Create(keys, {count});
+    ASSERT_TRUE(
+        first->Feed(SliceTableColumns(columns, 0, kRows / 2, table)).ok());
+    ASSERT_TRUE(second->Feed(SliceTableColumns(columns, kRows / 2, kRows / 2,
+                                               table))
+                    .ok());
+    ASSERT_TRUE(first->MergeFrom(*second).ok());
+    EXPECT_EQ(Strings(first->EmitBatch(kRows)), want_s) << label << " Merge";
+  }
+
+  // NaNs of any sign or payload are one group too (the oracle hashes NaN
+  // bit patterns apart, so this case is checked by hand).
+  const double neg_nan = -nan;
+  uint64_t payload_bits = 0x7ff0000000000001ULL;  // a signalling NaN
+  double payload_nan;
+  std::memcpy(&payload_nan, &payload_bits, sizeof(payload_nan));
+  std::vector<Row> nans = {{Value::Double(nan), Value::Null()},
+                           {Value::Double(neg_nan), Value::Null()},
+                           {Value::Double(payload_nan), Value::Null()},
+                           {Value::Double(1.0), Value::Null()}};
+  auto nan_table = std::make_shared<MemTable>(row_type, nans);
+  TableColumnsPtr nan_columns = nan_table->MaterializedColumns(tf);
+  auto builder = ColumnarAggBuilder::Create({0}, {count});
+  ASSERT_TRUE(
+      builder->Feed(SliceTableColumns(nan_columns, 0, 4, nan_table)).ok());
+  EXPECT_EQ(Strings(builder->EmitBatch(16)),
+            (std::vector<std::string>{"[nan, 3]", "[1.0, 1]"}));
 }
 
 TEST_F(ColumnarParityTest, HashJoinAllTypes) {
@@ -343,6 +479,18 @@ TEST_F(ColumnarParityTest, HashJoinAllTypes) {
           std::string("HashJoin ") + JoinTypeName(jt) +
               " n=" + std::to_string(n));
     }
+    // Two-key equi-join on (k, s) with the same residual.
+    auto equi_s = rex_.MakeEquals(
+        Field(lt, 2), rex_.MakeInputRef(static_cast<int>(left_width) + 2,
+                                        rt->fields()[2].type));
+    RexNodePtr two_keys = rex_.MakeAnd({equi, equi_s, residual.value()});
+    for (JoinType jt : join_types) {
+      auto row_type = DeriveJoinRowType(lt, rt, jt, tf_);
+      ExpectColumnarParity(
+          EnumerableHashJoin::Create(left, right, two_keys, jt, row_type),
+          std::string("HashJoin(k,s) ") + JoinTypeName(jt) +
+              " n=" + std::to_string(n));
+    }
     // Probe side under a filter: the probe consumes a selection-carrying
     // columnar stream.
     auto lcond = rex_.MakeCall(OpKind::kGreaterThanOrEqual,
@@ -354,6 +502,28 @@ TEST_F(ColumnarParityTest, HashJoinAllTypes) {
                                                             lcond.value()),
                                    right, equi, JoinType::kInner, inner_type),
         "HashJoin(filtered probe) n=" + std::to_string(n));
+  }
+}
+
+// One build key matched by more rows than a batch holds: a single probe
+// row yields 1100 output rows, which the join hands out across several
+// batches of at most batch_size rows, in build order.
+TEST_F(ColumnarParityTest, HashJoinSkewedBuildKeySplitsOutput) {
+  std::vector<Row> build_rows = MakeRows(1100);
+  for (Row& row : build_rows) row[1] = Value::Int(1);
+  RelNodePtr right =
+      ScanOf(std::make_shared<MemTable>(TestRowType(tf_), build_rows));
+  RelNodePtr left = Scan(20);
+  const RelDataTypePtr& lt = left->row_type();
+  const RelDataTypePtr& rt = right->row_type();
+  auto equi = rex_.MakeEquals(
+      Field(lt, 1), rex_.MakeInputRef(static_cast<int>(lt->fields().size()) + 1,
+                                      rt->fields()[1].type));
+  for (JoinType jt : {JoinType::kInner, JoinType::kLeft, JoinType::kFull}) {
+    auto row_type = DeriveJoinRowType(lt, rt, jt, tf_);
+    ExpectColumnarParity(
+        EnumerableHashJoin::Create(left, right, equi, jt, row_type),
+        std::string("HashJoin(skewed) ") + JoinTypeName(jt));
   }
 }
 

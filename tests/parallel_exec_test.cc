@@ -21,6 +21,7 @@
 #include "exec/parallel/task_scheduler.h"
 #include "rel/core.h"
 #include "rex/rex_builder.h"
+#include "row_oracle.h"
 #include "stream/stream.h"
 #include "test_schema.h"
 #include "tools/frameworks.h"
@@ -380,6 +381,12 @@ TEST_F(ParallelSweepTest, PartitionedHashJoinAllTypes) {
           rex_.MakeCall(OpKind::kLessThan, {Field(lt, 0), bound.value()});
       ASSERT_TRUE(residual.ok());
       RexNodePtr condition = rex_.MakeAnd({equi, residual.value()});
+      // The same residual under a two-key (k, s) equi-join.
+      auto equi_s = rex_.MakeEquals(
+          Field(lt, 2),
+          rex_.MakeInputRef(static_cast<int>(left_width) + 2,
+                            rt->fields()[2].type));
+      RexNodePtr two_keys = rex_.MakeAnd({equi, equi_s, residual.value()});
       for (JoinType jt : join_types) {
         auto row_type = DeriveJoinRowType(lt, rt, jt, tf_);
         auto join =
@@ -387,6 +394,19 @@ TEST_F(ParallelSweepTest, PartitionedHashJoinAllTypes) {
         ExpectThreadSweepParity(join, std::string("join ") + JoinTypeName(jt) +
                                           " n=" + std::to_string(n) +
                                           " m=" + std::to_string(m));
+        auto join2 =
+            EnumerableHashJoin::Create(left, right, two_keys, jt, row_type);
+        const std::string label2 = std::string("join(k,s) ") +
+                                   JoinTypeName(jt) + " n=" +
+                                   std::to_string(n) + " m=" +
+                                   std::to_string(m);
+        auto oracle = testing::OracleRows(join2);
+        ASSERT_TRUE(oracle.ok()) << label2;
+        auto serial = Drain(join2, 1, 1024);
+        ASSERT_TRUE(serial.ok()) << label2;
+        EXPECT_EQ(SortedStrings(serial.value()), SortedStrings(oracle.value()))
+            << label2 << " vs oracle";
+        ExpectThreadSweepParity(join2, label2);
       }
     }
   }

@@ -471,6 +471,16 @@ TEST(SimdHashTest, IntAndDoubleImagesAgree) {
   // Fractions and non-finites take the bit-pattern path and still self-agree.
   EXPECT_EQ(HashF64One(2.5), HashF64One(2.5));
   EXPECT_NE(HashF64One(2.5), HashF64One(2.0));
+  // Every NaN — either sign, any payload — hashes as the canonical NaN, so
+  // all NaN keys meet in one group.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  uint64_t payload_bits = 0xfff0000000000123ULL;
+  double payload_nan;
+  std::memcpy(&payload_nan, &payload_bits, sizeof(payload_nan));
+  EXPECT_EQ(HashF64One(-nan), HashF64One(nan));
+  EXPECT_EQ(HashF64One(payload_nan), HashF64One(nan));
+  EXPECT_EQ(F64Bits(payload_nan), kCanonicalNaNBits);
+  EXPECT_NE(HashF64One(nan), HashF64One(std::numeric_limits<double>::infinity()));
 }
 
 TEST(SimdHashTest, BlockedHashMatchesOneCellHash) {
