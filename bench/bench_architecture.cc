@@ -299,14 +299,18 @@ BENCHMARK(BM_IndexScanVsFullScan)
 
 // The cost-based access-path acceptance bench: a 200k-row ANALYZEd disk
 // table, scanned at 0.01% / 1% / 50% key-range selectivity under each
-// AccessPath (arg1: 0=kAuto, 1=kForceIndex, 2=kForceHeap). Unlike
-// BM_IndexScanVsFullScan, rows are inserted in *shuffled* key order, so an
-// index range walk pays a random heap fetch per row through the small pool
-// — the regime where the break-even is real: the index wins the narrow
-// ranges, the sequential heap pass wins the wide one. Acceptance: kAuto
-// matches the faster forced path at every selectivity (it picks index at
-// 1bp/100bp, heap at 5000bp). The used_index counter reports the chosen
-// path.
+// AccessPath (arg1: 0=kAuto, 1=kForceIndex, 2=kForceHeap) with 1 or 4
+// worker threads (arg2). Unlike BM_IndexScanVsFullScan, rows are inserted
+// in *shuffled* key order, so an index range walk pays a random heap fetch
+// per row through the small pool — the regime where the break-even is
+// real: the index wins the narrow ranges, the sequential heap pass wins
+// the wide one. The scan runs through the executor, so the thread count
+// sees the table's own access-path decision: an index-resolved range is
+// one B-tree walk at 4 threads too, a heap-resolved one fans out over
+// page-run morsels. Acceptance: kAuto matches the faster forced path at
+// every selectivity (it picks index at 1bp/100bp, heap at 5000bp), and an
+// index scan's reads_per_iter is the same at 4 threads as at 1. The
+// used_index counter reports the chosen path.
 void BM_CostBasedAccessPath(benchmark::State& state) {
   constexpr int64_t kRows = 200000;
   static std::shared_ptr<storage::DiskTable> table = [] {
@@ -348,54 +352,58 @@ void BM_CostBasedAccessPath(benchmark::State& state) {
   const int64_t selectivity_bp = state.range(0);  // basis points (1/10000)
   const int64_t span = std::max<int64_t>(1, kRows * selectivity_bp / 10000);
 
-  ScanSpec spec;
+  Connection::Config config;
+  config.schema = std::make_shared<Schema>();
+  config.schema->AddTable("cost", table);
   switch (state.range(1)) {
     case 1:
-      spec.access_path = AccessPath::kForceIndex;
+      config.exec_options.access_path = AccessPath::kForceIndex;
       break;
     case 2:
-      spec.access_path = AccessPath::kForceHeap;
+      config.exec_options.access_path = AccessPath::kForceHeap;
       break;
     default:
-      spec.access_path = AccessPath::kAuto;
+      config.exec_options.access_path = AccessPath::kAuto;
       break;
   }
-  ScanPredicate lo;
-  lo.kind = ScanPredicate::Kind::kGreaterThanOrEqual;
-  lo.column = 0;
-  lo.literal = Value::Int(kRows / 2);
-  ScanPredicate hi;
-  hi.kind = ScanPredicate::Kind::kLessThan;
-  hi.column = 0;
-  hi.literal = Value::Int(kRows / 2 + span);
-  spec.predicates = {lo, hi};
+  config.exec_options.num_threads = static_cast<size_t>(state.range(2));
+  Connection conn(std::move(config));
+  auto logical = conn.ParseQuery(
+      "SELECT * FROM cost WHERE id >= " + std::to_string(kRows / 2) +
+      " AND id < " + std::to_string(kRows / 2 + span));
+  if (!logical.ok()) {
+    state.SkipWithError("parse failed");
+    return;
+  }
+  auto physical = conn.OptimizePlan(logical.value());
+  if (!physical.ok()) {
+    state.SkipWithError("plan failed");
+    return;
+  }
 
   int64_t result_rows = 0;
+  const uint64_t reads_before = table->buffer_pool().disk_reads();
   for (auto _ : state) {
-    auto puller = table->OpenScan(spec);
-    if (!puller.ok()) {
+    auto result = conn.ExecutePlan(physical.value());
+    if (!result.ok()) {
       state.SkipWithError("scan failed");
       return;
     }
-    for (;;) {
-      auto batch = (puller.value())();
-      if (!batch.ok()) {
-        state.SkipWithError("pull failed");
-        return;
-      }
-      if (batch.value().empty()) break;
-      result_rows += static_cast<int64_t>(batch.value().size());
-      benchmark::DoNotOptimize(batch.value());
-    }
+    result_rows += static_cast<int64_t>(result.value().rows.size());
+    benchmark::DoNotOptimize(result.value().rows);
   }
   state.counters["rows_per_sec"] = benchmark::Counter(
       static_cast<double>(result_rows), benchmark::Counter::kIsRate);
+  state.counters["reads_per_iter"] = benchmark::Counter(
+      static_cast<double>(table->buffer_pool().disk_reads() - reads_before),
+      benchmark::Counter::kAvgIterations);
   state.counters["used_index"] = table->last_scan_used_index() ? 1.0 : 0.0;
 }
 BENCHMARK(BM_CostBasedAccessPath)
-    // {selectivity bp} x {0=kAuto, 1=kForceIndex, 2=kForceHeap}
-    ->ArgsProduct({{1, 100, 5000}, {0, 1, 2}})
-    ->Unit(benchmark::kMillisecond);
+    // {selectivity bp} x {0=kAuto, 1=kForceIndex, 2=kForceHeap} x {threads}
+    ->ArgsProduct({{1, 100, 5000}, {0, 1, 2}, {1, 4}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 void BM_AltEntry_ExpressionBuilder(benchmark::State& state) {
   // The "own parser" integration path (§3): algebra built directly.

@@ -42,11 +42,17 @@ struct PipelineStage {
 ///  - paged (`paged` set): a table without a columnar cache that tiles
 ///    itself into scan units (a disk table's page runs); morsels are unit
 ///    ranges, each opened with its own unit-ranged OpenScan that applies
-///    the `pushed` conjuncts of the bottom filter while decoding.
+///    the `pushed` conjuncts of the bottom filter while decoding;
+///  - an index leaf (`paged` set, `index_leaf` true): a paged table whose
+///    own access-path decision sends the pushed conjuncts to its index.
+///    The leaf is a single morsel, one OpenScan without a unit range, so
+///    the table walks the index exactly as a serial scan would.
 struct FragmentSource {
   std::vector<RelNodePtr> pinned;  // fragment nodes (keep exprs/tuples alive)
   TableColumnsPtr columns;
   TablePtr paged;
+  bool index_leaf = false;
+  AccessPath access_path = AccessPath::kAuto;
   RelDataTypePtr leaf_row_type;
   ScanPredicateList pushed;
   std::vector<PipelineStage> stages;  // applied bottom-up
@@ -56,8 +62,18 @@ struct FragmentSource {
       return std::make_shared<MorselSource>(
           columns->num_rows, PickMorselSize(columns->num_rows, num_threads));
     }
-    return std::make_shared<MorselSource>(paged->ScanUnitCount(),
-                                          /*morsel_size=*/1);
+    return std::make_shared<MorselSource>(
+        index_leaf ? 1 : paged->ScanUnitCount(), /*morsel_size=*/1);
+  }
+
+  /// The whole-table scan of a paged leaf; a heap morsel narrows it to
+  /// its unit range.
+  ScanSpec LeafSpec(size_t batch_size) const {
+    ScanSpec spec;
+    spec.batch_size = batch_size;
+    spec.predicates = pushed;
+    spec.access_path = access_path;
+    return spec;
   }
 };
 
@@ -90,8 +106,11 @@ void PushBottomFilter(FragmentSource* src) {
 /// leaf with a morsel surface. Converters (EnumerableInterpreter) and every
 /// other operator stop the chain — fragments never cross a
 /// calling-convention boundary. Tables with neither a columnar cache nor
-/// scan units stay serial.
-bool RecognizeMorselPipeline(const RelNode& root, FragmentSource* out) {
+/// scan units stay serial. A paged leaf asks its table which access path
+/// the pushed conjuncts take under `access_path`, and becomes an index leaf
+/// when the table answers with its index.
+bool RecognizeMorselPipeline(const RelNode& root, AccessPath access_path,
+                             FragmentSource* out) {
   const RelNode* cur = &root;
   std::vector<PipelineStage> top_down;
   for (;;) {
@@ -137,7 +156,11 @@ bool RecognizeMorselPipeline(const RelNode& root, FragmentSource* out) {
     return false;
   }
   out->stages.assign(top_down.rbegin(), top_down.rend());
-  if (out->paged != nullptr) PushBottomFilter(out);
+  if (out->paged != nullptr) {
+    PushBottomFilter(out);
+    out->access_path = access_path;
+    out->index_leaf = out->paged->ScanUsesIndex(out->LeafSpec(1));
+  }
   return true;
 }
 
@@ -248,12 +271,13 @@ class MorselRunner {
     }
     // The paged leaf: one unit-ranged OpenScan per morsel streams just the
     // claimed page run through the buffer pool, decoding only rows that
-    // pass the pushed conjuncts.
-    ScanSpec spec;
-    spec.batch_size = batch_size_;
-    spec.predicates = src_->pushed;
-    spec.unit_begin = morsel.begin;
-    spec.unit_end = morsel.end;
+    // pass the pushed conjuncts. An index leaf's single morsel is one
+    // OpenScan over the whole table, which the table serves from its index.
+    ScanSpec spec = src_->LeafSpec(batch_size_);
+    if (!src_->index_leaf) {
+      spec.unit_begin = morsel.begin;
+      spec.unit_end = morsel.end;
+    }
     CALCITE_ASSIGN_OR_RETURN(RowBatchPuller pull, src_->paged->OpenScan(spec));
     while (!cancel.cancelled()) {
       CALCITE_ASSIGN_OR_RETURN(RowBatch rows, pull());
@@ -523,9 +547,15 @@ std::optional<Result<RowBatchPuller>> TryExecuteParallel(
   ExecOptions opts = raw_opts.Normalized();
   if (opts.num_threads < 2) return std::nullopt;
 
+  // A pipeline or aggregate over an index leaf would run its one morsel on
+  // one worker: it stays serial, where the leaf takes the same index
+  // without a scheduler. A join keeps its parallel partitioned build.
   if (const auto* agg = dynamic_cast<const Aggregate*>(&node)) {
     FragmentSource src;
-    if (!RecognizeMorselPipeline(*agg->input(0), &src)) return std::nullopt;
+    if (!RecognizeMorselPipeline(*agg->input(0), opts.access_path, &src) ||
+        src.index_leaf) {
+      return std::nullopt;
+    }
     return ExecuteAggregateParallel(*agg, std::move(src), opts);
   }
   if (const auto* join = dynamic_cast<const Join*>(&node)) {
@@ -533,12 +563,17 @@ std::optional<Result<RowBatchPuller>> TryExecuteParallel(
     std::vector<RexNodePtr> remaining;
     if (!join->AnalyzeEquiKeys(&keys, &remaining)) return std::nullopt;
     FragmentSource src;
-    if (!RecognizeMorselPipeline(*join->input(0), &src)) return std::nullopt;
+    if (!RecognizeMorselPipeline(*join->input(0), opts.access_path, &src)) {
+      return std::nullopt;
+    }
     return ExecuteHashJoinParallel(*join, std::move(keys),
                                    std::move(remaining), std::move(src), opts);
   }
   FragmentSource src;
-  if (!RecognizeMorselPipeline(node, &src)) return std::nullopt;
+  if (!RecognizeMorselPipeline(node, opts.access_path, &src) ||
+      src.index_leaf) {
+    return std::nullopt;
+  }
   return ExecutePipelineParallel(std::move(src), opts);
 }
 

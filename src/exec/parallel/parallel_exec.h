@@ -26,7 +26,10 @@ namespace calcite {
 ///    with the bottom filter's pushed conjuncts — run the whole
 ///    filter/project chain morsel-at-a-time over ColumnBatches through
 ///    FusedExpr, box the survivors and exchange them to the consumer.
-///    Tables with neither surface stay serial.
+///    Tables with neither surface stay serial, and so does a pipeline whose
+///    paged table answers the pushed conjuncts from its index
+///    (Table::ScanUsesIndex under opts.access_path): the serial leaf takes
+///    the same index, reading the same pages at every thread count.
 ///  - Partitioned hash aggregate: the same pipeline shape under an
 ///    Aggregate. Workers build thread-local hash-aggregation states over
 ///    their morsels; the consumer merges them (accumulator merge, not
@@ -35,6 +38,8 @@ namespace calcite {
 ///    pipeline. The build side is drained once, then partitioned and hashed
 ///    in parallel (each partition owned by one task — no locks); probe
 ///    workers stream left morsels against the read-only partition tables.
+///    An index-resolved probe side is one morsel, so the build stays
+///    parallel while the probe reads only the index range.
 ///
 /// Ordering: fragments executed in parallel do not preserve row order —
 /// workers race for morsels and the exchange interleaves their output. SQL

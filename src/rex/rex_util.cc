@@ -279,6 +279,28 @@ bool ExtractScanPredicates(const RexNodePtr& condition, int scan_width,
         continue;
       }
     }
+    if (call != nullptr && call->op() == OpKind::kBetween &&
+        call->operands().size() == 3) {
+      // `$col BETWEEN lo AND hi` is `$col >= lo AND $col <= hi`: both
+      // NULL-strict, both false on reversed bounds, like BETWEEN itself.
+      int col = ref_index(call->operand(0));
+      const RexLiteral* lo = AsLiteral(call->operand(1));
+      const RexLiteral* hi = AsLiteral(call->operand(2));
+      if (col >= 0 && lo != nullptr && hi != nullptr) {
+        ScanPredicate ge;
+        ge.kind = ScanPredicate::Kind::kGreaterThanOrEqual;
+        ge.column = col;
+        ge.literal = lo->value();
+        pushed->push_back(std::move(ge));
+        ScanPredicate le;
+        le.kind = ScanPredicate::Kind::kLessThanOrEqual;
+        le.column = col;
+        le.literal = hi->value();
+        pushed->push_back(std::move(le));
+        any = true;
+        continue;
+      }
+    }
     if (call != nullptr && call->operands().size() == 2) {
       const RexLiteral* lhs_lit = AsLiteral(call->operand(0));
       const RexLiteral* rhs_lit = AsLiteral(call->operand(1));

@@ -68,8 +68,11 @@ class RexUtil {
 /// Splits a filter condition into leaf-pushable scan predicates and a
 /// residual. Flattens the top-level conjunction and extracts every conjunct
 /// of the shapes `$col <op> literal`, `literal <op> $col` (comparison
-/// flipped) and `$col IS [NOT] NULL` — with $col a direct input reference
-/// below scan_width — into `pushed`; everything else lands in `residual`.
+/// flipped), `$col IS [NOT] NULL` and `$col BETWEEN literal AND literal`
+/// (pushed as `$col >= lo` and `$col <= hi`) — with $col a direct input
+/// reference below scan_width — into `pushed`; everything else (NOT
+/// BETWEEN, a non-literal bound, an expression operand) lands in
+/// `residual`.
 /// Returns true if anything was pushed. Shared by the batch filter pipeline
 /// (pushdown into Table scans) and the statistics-backed selectivity
 /// estimator (metadata/table_stats_provider.h), so both agree on exactly

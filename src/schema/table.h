@@ -79,6 +79,15 @@ class Table {
   /// spec.access_path themselves. Same lifetime contract as ScanBatched.
   virtual Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const;
 
+  /// True if OpenScan(spec) would be served by an index rather than a pass
+  /// over the table's rows — the table's own access-path decision, asked
+  /// by the morsel executor so that a lookup the table answers from its
+  /// index is not fanned out over every scan unit. Default: no index.
+  virtual bool ScanUsesIndex(const ScanSpec& spec) const {
+    (void)spec;
+    return false;
+  }
+
   /// Paged scan surface for tables whose rows live out-of-core and so have
   /// no columnar cache: the table partitions itself into independently
   /// scannable units — for a disk table, a run of heap pages — and the

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <utility>
 
 #include "storage/row_codec.h"
@@ -178,6 +179,31 @@ double EstimateKeyRangeFraction(const ColumnStats& stats, int64_t lo,
   double below_hi = std::clamp((hi_d - min) / (max - min), 0.0, 1.0);
   double below_lo = std::clamp((lo_d - min) / (max - min), 0.0, 1.0);
   return below_hi - below_lo;
+}
+
+/// The access-path decision, shared by OpenScan and ScanUsesIndex: the key
+/// range to walk on the B-tree, or nullopt for a heap scan. A unit-ranged
+/// spec (a morsel's page run) and kForceHeap always scan the heap, as do
+/// conjuncts that bound no key range. kForceIndex takes any derived range;
+/// kAuto takes it only when the key column's ANALYZE statistics estimate it
+/// at or below `max_fraction` of the table, or whenever it derives on an
+/// unanalyzed table. An out-of-enum access path reads as kAuto.
+std::optional<KeyRange> ResolveIndexRange(const ScanSpec& spec, int key_column,
+                                          const TableStats& stats,
+                                          double max_fraction) {
+  if (spec.has_unit_range() || spec.access_path == AccessPath::kForceHeap ||
+      spec.predicates.empty()) {
+    return std::nullopt;
+  }
+  KeyRange range = DeriveKeyRange(spec.predicates, key_column);
+  if (!range.usable) return std::nullopt;
+  if (spec.access_path == AccessPath::kForceIndex || range.empty) return range;
+  const ColumnStats* key_stats = stats.column(key_column);
+  if (key_stats != nullptr &&
+      EstimateKeyRangeFraction(*key_stats, range.lo, range.hi) > max_fraction) {
+    return std::nullopt;
+  }
+  return range;
 }
 
 }  // namespace
@@ -728,58 +754,41 @@ Result<RowBatchPuller> DiskTable::ScanBatchedFiltered(
 
 Result<RowBatchPuller> DiskTable::OpenScan(const ScanSpec& raw_spec) const {
   ScanSpec spec = raw_spec.Normalized();
-
-  if (spec.has_unit_range()) {
-    // Morsel path: a contiguous run of scan units maps to a contiguous run
-    // of heap pages; the access-path machinery does not apply (the unit
-    // tiling is heap order by definition).
-    size_t units = ScanUnitCount();
-    if (spec.unit_begin > units) {
-      return Status::InvalidArgument("scan unit range out of bounds");
-    }
-    size_t first_page = spec.unit_begin * options_.pages_per_run;
-    size_t last_page = spec.unit_end >= units
-                           ? heap_pages_.size()
-                           : spec.unit_end * options_.pages_per_run;
-    return ApplyScanSpecDecorators(
-        MakeHeapPuller(first_page, last_page, spec.batch_size,
-                       std::move(spec.predicates)),
-        spec);
-  }
-
-  const AccessPath path = spec.access_path;
-
-  KeyRange range;
-  bool use_index = false;
-  if (path != AccessPath::kForceHeap && !spec.predicates.empty()) {
-    range = DeriveKeyRange(spec.predicates, key_column_);
-    if (range.usable) {
-      if (path == AccessPath::kForceIndex) {
-        use_index = true;
-      } else if (const ColumnStats* key_stats = stats_.column(key_column_)) {
-        // Cost-based choice: index only below the break-even fraction.
-        use_index = range.empty ||
-                    EstimateKeyRangeFraction(*key_stats, range.lo, range.hi) <=
-                        options_.index_scan_max_fraction;
-      } else {
-        // No statistics: legacy rule — index whenever a range derives.
-        use_index = true;
-      }
-    }
-  }
-
-  last_scan_used_index_ = use_index;
+  const std::optional<KeyRange> range = ResolveIndexRange(
+      spec, key_column_, stats_, options_.index_scan_max_fraction);
+  last_scan_used_index_ = range.has_value();
   RowBatchPuller puller;
-  if (use_index) {
-    puller = range.empty
+  if (range.has_value()) {
+    puller = range->empty
                  ? ChunkRows({}, spec.batch_size)
-                 : MakeIndexPuller(range.lo, range.hi, spec.batch_size,
+                 : MakeIndexPuller(range->lo, range->hi, spec.batch_size,
                                    std::move(spec.predicates));
   } else {
-    puller = MakeHeapPuller(0, heap_pages_.size(), spec.batch_size,
+    // Heap pages [first, last): the whole chain, or the contiguous page run
+    // a morsel's unit range tiles (unit ranges are heap order by
+    // definition, so a unit-ranged spec never takes the index).
+    size_t first_page = 0;
+    size_t last_page = heap_pages_.size();
+    if (spec.has_unit_range()) {
+      const size_t units = ScanUnitCount();
+      if (spec.unit_begin > units) {
+        return Status::InvalidArgument("scan unit range out of bounds");
+      }
+      first_page = spec.unit_begin * options_.pages_per_run;
+      if (spec.unit_end < units) {
+        last_page = spec.unit_end * options_.pages_per_run;
+      }
+    }
+    puller = MakeHeapPuller(first_page, last_page, spec.batch_size,
                             std::move(spec.predicates));
   }
   return ApplyScanSpecDecorators(std::move(puller), spec);
+}
+
+bool DiskTable::ScanUsesIndex(const ScanSpec& spec) const {
+  return ResolveIndexRange(spec, key_column_, stats_,
+                           options_.index_scan_max_fraction)
+      .has_value();
 }
 
 }  // namespace calcite::storage

@@ -48,14 +48,18 @@ struct DiskTableOptions {
 ///    choice is cost-based: the ANALYZE histogram of the key column
 ///    estimates the range's selectivity, and the index is taken only below
 ///    DiskTableOptions::index_scan_max_fraction (without statistics the
-///    legacy rule applies — index whenever a range derives).
+///    legacy rule applies — index whenever a range derives). One helper
+///    makes that decision for both OpenScan and ScanUsesIndex, so the
+///    morsel executor sees the same choice at any thread count: a fragment
+///    whose pushed conjuncts resolve to the index runs as one index scan
+///    instead of page-run morsels over the whole heap.
 ///  - Analyze() collects per-column statistics (schema/analyze.h) and
 ///    persists them into dedicated kStats catalog pages; Open() reloads
 ///    them, so a reopened table is cost-based immediately.
 ///  - MaterializedColumns() returns nullptr: the columnar cache is bypassed
 ///    for disk tables (it would pin the whole table in RAM). Filters reach
-///    the columnar path through OpenScan and the rows->columns leaf, and the
-///    morsel-parallel executor uses the paged scan-unit surface
+///    the columnar path through OpenScan and the rows->columns leaf, and a
+///    morsel-parallel heap scan uses the paged scan-unit surface
 ///    (ScanUnitCount + unit-ranged OpenScan — a page run = a morsel).
 ///
 /// Mutation (InsertRows) is single-writer and must not run concurrently
@@ -115,6 +119,11 @@ class DiskTable : public Table {
   /// same entry point.
   calcite::Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const override;
 
+  /// The access path OpenScan(spec) resolves to: false for a unit-ranged
+  /// spec (always a heap page range), else the kForceHeap / kForceIndex /
+  /// cost-based kAuto choice over the pushed key range.
+  bool ScanUsesIndex(const ScanSpec& spec) const override;
+
   size_t ScanUnitCount() const override;
   calcite::Result<std::vector<Row>> ScanUnitRows(size_t unit) const override;
 
@@ -129,9 +138,9 @@ class DiskTable : public Table {
   size_t heap_page_count() const { return heap_pages_.size(); }
   const BufferPool& buffer_pool() const { return *pool_; }
 
-  /// True if the last ScanBatchedFiltered stream was served by the index
-  /// path (bench/test introspection; races with concurrent scans are
-  /// benign).
+  /// True if the last OpenScan stream was served by the index path (a
+  /// unit-ranged morsel scan reports false; bench/test introspection,
+  /// races with concurrent scans are benign).
   bool last_scan_used_index() const {
     return last_scan_used_index_.load(std::memory_order_relaxed);
   }

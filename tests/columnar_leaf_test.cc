@@ -11,7 +11,9 @@
 //    per-row oracle (row_oracle.h).
 //  - A DiskTable (paged leaf, no columnar cache) at 4 threads over a
 //    16-page pool: pushed-only, pushed+residual, BETWEEN and string
-//    predicates, bare and under project/aggregate, against the serial run.
+//    predicates, bare and under project/aggregate, against the serial run,
+//    under kAuto (key ranges take the index) and kForceHeap (page-run
+//    morsels).
 
 #include <gtest/gtest.h>
 
@@ -466,15 +468,22 @@ TEST_F(RowNativeParityTest, DiskTablePagedLeafMatchesSerialAtFourThreads) {
       std::sort(serial_s.begin(), serial_s.end());
       std::sort(want_s.begin(), want_s.end());
       EXPECT_EQ(serial_s, want_s) << label;
-      for (bool fusion : {true, false}) {
-        ExecOptions opts;
-        opts.num_threads = 4;
-        opts.enable_fusion = fusion;
-        auto par = RunPlan(plan, opts);
-        ASSERT_TRUE(par.ok()) << label << ": " << par.status().ToString();
-        std::vector<std::string> par_s = Strings(par.value());
-        std::sort(par_s.begin(), par_s.end());
-        EXPECT_EQ(par_s, serial_s) << label << " fusion=" << fusion;
+      // kAuto sends the key-range conditions to the B-tree (a serial index
+      // leaf); kForceHeap keeps every condition on page-run morsels.
+      for (AccessPath path : {AccessPath::kAuto, AccessPath::kForceHeap}) {
+        for (bool fusion : {true, false}) {
+          ExecOptions opts;
+          opts.num_threads = 4;
+          opts.enable_fusion = fusion;
+          opts.access_path = path;
+          auto par = RunPlan(plan, opts);
+          ASSERT_TRUE(par.ok()) << label << ": " << par.status().ToString();
+          std::vector<std::string> par_s = Strings(par.value());
+          std::sort(par_s.begin(), par_s.end());
+          EXPECT_EQ(par_s, serial_s)
+              << label << " fusion=" << fusion
+              << " path=" << static_cast<int>(path);
+        }
       }
     }
   }

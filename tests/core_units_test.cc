@@ -237,6 +237,81 @@ TEST(RexUtilTest, ShiftAndRemap) {
   EXPECT_EQ(RexUtil::InputRefs(ref).count(2), 1u);
 }
 
+// `$col BETWEEN lit AND lit` reaches the scan as `>=` and `<=` predicates
+// that keep exactly the rows the interpreter's BETWEEN keeps; every other
+// BETWEEN shape stays residual.
+TEST(RexUtilTest, BetweenPushesAsTwoComparisons) {
+  RexBuilder rex;
+  TypeFactory tf;
+  auto int_t = tf.CreateSqlType(SqlTypeName::kInteger, -1, true);
+  RexNodePtr col = rex.MakeInputRef(0, int_t);
+  RexNodePtr other = rex.MakeInputRef(1, int_t);
+  auto between = [&](RexNodePtr operand, RexNodePtr lo, RexNodePtr hi) {
+    return rex.MakeCall(OpKind::kBetween, {operand, lo, hi}).value();
+  };
+  std::vector<Row> rows;
+  for (Value v : {Value::Null(), Value::Int(-3), Value::Int(0), Value::Int(1),
+                  Value::Int(2), Value::Int(3), Value::Int(5), Value::Int(7),
+                  Value::Int(10)}) {
+    rows.push_back({v, Value::Int(4)});
+  }
+
+  struct Pushable {
+    std::string name;
+    RexNodePtr cond;
+    size_t kept;  // rows BETWEEN keeps
+  };
+  const std::vector<Pushable> pushable = {
+      {"int bounds",
+       between(col, rex.MakeIntLiteral(2), rex.MakeIntLiteral(7)), 4},
+      {"reversed bounds",
+       between(col, rex.MakeIntLiteral(7), rex.MakeIntLiteral(2)), 0},
+      {"null bound",
+       between(col, rex.MakeNullLiteral(int_t), rex.MakeIntLiteral(5)), 0},
+      {"double bounds on an int column",
+       between(col, rex.MakeDoubleLiteral(1.5), rex.MakeDoubleLiteral(6.5)),
+       3},
+  };
+  for (const auto& [name, cond, want_kept] : pushable) {
+    ScanPredicateList pushed;
+    std::vector<RexNodePtr> residual;
+    ASSERT_TRUE(ExtractScanPredicates(cond, 2, &pushed, &residual)) << name;
+    ASSERT_EQ(pushed.size(), 2u) << name;
+    EXPECT_EQ(pushed[0].kind, ScanPredicate::Kind::kGreaterThanOrEqual);
+    EXPECT_EQ(pushed[1].kind, ScanPredicate::Kind::kLessThanOrEqual);
+    EXPECT_TRUE(residual.empty()) << name;
+    size_t kept = 0;
+    for (const Row& row : rows) {
+      auto want = RexInterpreter::EvalPredicate(cond, row);
+      ASSERT_TRUE(want.ok()) << name;
+      EXPECT_EQ(ScanPredicatesMatch(pushed, row), want.value())
+          << name << " at " << RowToString(row);
+      kept += want.value() ? 1 : 0;
+    }
+    EXPECT_EQ(kept, want_kept) << name;
+  }
+
+  const std::vector<std::pair<std::string, RexNodePtr>> residual_only = {
+      {"NOT BETWEEN",
+       rex.MakeCall(OpKind::kNot, {between(col, rex.MakeIntLiteral(2),
+                                           rex.MakeIntLiteral(7))})
+           .value()},
+      {"non-literal bound", between(col, other, rex.MakeIntLiteral(7))},
+      {"expression operand",
+       between(rex.MakeCall(OpKind::kPlus, {col, rex.MakeIntLiteral(1)})
+                   .value(),
+               rex.MakeIntLiteral(2), rex.MakeIntLiteral(7))},
+  };
+  for (const auto& [name, cond] : residual_only) {
+    ScanPredicateList pushed;
+    std::vector<RexNodePtr> residual;
+    EXPECT_FALSE(ExtractScanPredicates(cond, 2, &pushed, &residual)) << name;
+    EXPECT_TRUE(pushed.empty()) << name;
+    ASSERT_EQ(residual.size(), 1u) << name;
+    EXPECT_EQ(residual[0]->ToString(), cond->ToString()) << name;
+  }
+}
+
 TEST(MonotonicityTest, WindowFunctionsPreserve) {
   RexBuilder rex;
   TypeFactory tf;

@@ -412,12 +412,31 @@ TEST(TableStatsProviderTest, SelectivityFromHistograms) {
   EXPECT_GT(sel, 0.012);
   EXPECT_LT(sel, 0.04);
 
+  // BETWEEN is scored as its two pushed bounds, from the histogram, not as
+  // the fixed BETWEEN guess. The bounds multiply as if independent
+  // (0.8 * 0.3), like any same-column range conjunction, rather than
+  // giving the true 0.1.
+  auto between = b.MakeCall(
+      OpKind::kBetween, {b.MakeInputRef(row_type, 1), b.MakeDoubleLiteral(20.0),
+                         b.MakeDoubleLiteral(30.0)});
+  ASSERT_OK(between.status());
+  auto ge = b.MakeCall(OpKind::kGreaterThanOrEqual,
+                       {b.MakeInputRef(row_type, 1), b.MakeDoubleLiteral(20.0)});
+  auto le = b.MakeCall(OpKind::kLessThanOrEqual,
+                       {b.MakeInputRef(row_type, 1), b.MakeDoubleLiteral(30.0)});
+  ASSERT_OK(ge.status());
+  ASSERT_OK(le.status());
+  EXPECT_DOUBLE_EQ(mq.Selectivity(scan, *between),
+                   mq.Selectivity(scan, b.MakeAnd({*ge, *le})));
+  EXPECT_NEAR(mq.Selectivity(scan, *between), 0.8 * 0.3, 0.03);
+
   // The same scan shape without stats falls back to the fixed guesses.
   auto bare = std::make_shared<MemTable>(StatsRowType(tf), std::vector<Row>{});
   RelNodePtr bare_scan =
       LogicalTableScan::Create(bare, {"u"}, Convention::Enumerable(), tf);
   EXPECT_DOUBLE_EQ(mq.Selectivity(bare_scan, *lt), 0.5);
   EXPECT_DOUBLE_EQ(mq.Selectivity(bare_scan, *eq), 0.15);
+  EXPECT_DOUBLE_EQ(mq.Selectivity(bare_scan, *between), 0.35);
 }
 
 TEST(TableStatsProviderTest, NullFractionDrivesIsNullSelectivity) {

@@ -2,8 +2,9 @@
 // (src/storage/): disk manager page I/O, buffer pool pin/evict/write-back
 // discipline, the row codec, randomized B-tree workloads checked against a
 // std::map oracle, and the DiskTable end-to-end surface — heap scans,
-// index-range routing of pushed predicates, persistence across reopen, and
-// the paged scan-unit tiling the parallel executor consumes. Every test
+// index-range routing of pushed predicates, persistence across reopen, the
+// paged scan-unit tiling the parallel executor consumes, and SQL key
+// lookups that must read the same pages at every thread count. Every test
 // works in its own temp directory, removed on teardown.
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "storage/btree.h"
@@ -23,6 +25,9 @@
 #include "storage/disk_table.h"
 #include "storage/page.h"
 #include "storage/row_codec.h"
+#include "row_oracle.h"
+#include "schema/schema.h"
+#include "tools/frameworks.h"
 #include "type/rel_data_type.h"
 
 namespace calcite::storage {
@@ -639,6 +644,155 @@ TEST_F(StorageTest, DiskTablePersistsAcrossReopen) {
 
   auto missing = DiskTable::Open(Path("absent.db"), DiskRowType(tf));
   EXPECT_FALSE(missing.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Key lookups through the executor: same rows and same page reads at every
+// thread count
+// ---------------------------------------------------------------------------
+
+// `items` (id key, name, score) is the key-filtered table; `lines` (lid key,
+// item, qty) is the build side of the d_join2-shaped join. Both ANALYZEd,
+// 16-page pools, 2-page scan units.
+class KeyLookupTest : public StorageTest {
+ protected:
+  static constexpr int64_t kItems = 6000;
+  static constexpr int64_t kLines = 12000;
+
+  void SetUp() override {
+    StorageTest::SetUp();
+    TypeFactory tf;
+    auto int_t = tf.CreateSqlType(SqlTypeName::kInteger);
+    auto dbl_t = tf.CreateSqlType(SqlTypeName::kDouble);
+    lines_type_ =
+        tf.CreateStructType({"lid", "item", "qty"}, {int_t, int_t, dbl_t});
+    std::vector<Row> lines;
+    for (int64_t i = 0; i < kLines; ++i) {
+      lines.push_back({Value::Int(i), Value::Int(i % kItems),
+                       Value::Double(static_cast<double>(i % 7))});
+    }
+    for (const auto& [name, type, rows] :
+         {std::make_tuple("items", DiskRowType(tf), DiskRows(kItems)),
+          std::make_tuple("lines", lines_type_, lines)}) {
+      auto table = DiskTable::Create(Path(name), type, 0, Options());
+      ASSERT_OK(table.status());
+      ASSERT_OK((*table)->InsertRows(rows));
+      ASSERT_OK((*table)->Analyze());
+      ASSERT_OK((*table)->Flush());
+    }
+  }
+
+  static DiskTableOptions Options() {
+    DiskTableOptions opts;
+    opts.pool_pages = 16;
+    opts.pages_per_run = 2;
+    return opts;
+  }
+
+  // Reopens both tables from their files (cold pools) into a fresh schema.
+  void Reopen() {
+    TypeFactory tf;
+    auto items = DiskTable::Open(Path("items"), DiskRowType(tf), Options());
+    ASSERT_OK(items.status());
+    auto lines = DiskTable::Open(Path("lines"), lines_type_, Options());
+    ASSERT_OK(lines.status());
+    items_ = *items;
+    schema_ = std::make_shared<Schema>();
+    schema_->AddTable("items", items_);
+    schema_->AddTable("lines", *lines);
+    ASSERT_GT(items_->heap_page_count(), 2 * Options().pool_pages);
+  }
+
+  std::unique_ptr<Connection> Connect(size_t threads, AccessPath path,
+                                      size_t batch_size) {
+    Connection::Config config;
+    config.schema = schema_;
+    config.exec_options.num_threads = threads;
+    config.exec_options.access_path = path;
+    config.exec_options.batch_size = batch_size;
+    return std::make_unique<Connection>(std::move(config));
+  }
+
+  static std::vector<std::string> Sorted(const std::vector<Row>& rows) {
+    std::vector<std::string> out;
+    for (const Row& row : rows) out.push_back(RowToString(row));
+    std::sort(out.begin(), out.end());
+    return out;
+  }
+
+  RelDataTypePtr lines_type_;
+  SchemaPtr schema_;
+  std::shared_ptr<DiskTable> items_;
+};
+
+// Each query's pushed key range selects < 1% of items, so ANALYZE-based
+// kAuto resolves it to the B-tree.
+const std::vector<std::pair<std::string, std::string>>& KeyLookupQueries() {
+  static const std::vector<std::pair<std::string, std::string>> queries = {
+      {"point", "SELECT id, name FROM items WHERE id = 1234"},
+      {"range", "SELECT id, score FROM items WHERE id >= 1000 AND id < 1040"},
+      {"between", "SELECT id, score FROM items WHERE id BETWEEN 2000 AND 2039"},
+      {"join",
+       "SELECT i.name, COUNT(*) AS cnt, SUM(l.qty) AS qty FROM items i "
+       "JOIN lines l ON i.id = l.item WHERE i.id >= 300 AND i.id < 340 "
+       "GROUP BY i.name"},
+  };
+  return queries;
+}
+
+TEST_F(KeyLookupTest, EveryConfigurationMatchesTheRowOracle) {
+  Reopen();
+  for (const auto& [name, sql] : KeyLookupQueries()) {
+    auto serial = Connect(1, AccessPath::kAuto, 1024);
+    auto logical = serial->ParseQuery(sql);
+    ASSERT_OK(logical.status());
+    auto plan = serial->OptimizePlan(*logical);
+    ASSERT_OK(plan.status());
+    auto oracle = calcite::testing::OracleRows(*plan);
+    ASSERT_OK(oracle.status());
+    ASSERT_FALSE(oracle->empty()) << name;
+    const std::vector<std::string> want = Sorted(*oracle);
+    for (size_t threads : {1, 4}) {
+      for (AccessPath path : {AccessPath::kAuto, AccessPath::kForceIndex,
+                              AccessPath::kForceHeap}) {
+        for (size_t batch : {1, 1024}) {
+          auto got = Connect(threads, path, batch)->ExecutePlan(*plan);
+          ASSERT_OK(got.status());
+          EXPECT_EQ(Sorted(got->rows), want)
+              << name << " threads=" << threads
+              << " path=" << static_cast<int>(path) << " batch=" << batch;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(items_->buffer_pool().pinned_frames(), 0u);
+}
+
+TEST_F(KeyLookupTest, IndexLookupsReadTheSamePagesAtFourThreads) {
+  for (const auto& [name, sql] : KeyLookupQueries()) {
+    std::vector<uint64_t> reads;
+    for (size_t threads : {1, 4}) {
+      Reopen();
+      const uint64_t before = items_->buffer_pool().disk_reads();
+      auto got = Connect(threads, AccessPath::kAuto, 1024)->Query(sql);
+      ASSERT_OK(got.status());
+      EXPECT_TRUE(items_->last_scan_used_index()) << name;
+      reads.push_back(items_->buffer_pool().disk_reads() - before);
+    }
+    EXPECT_EQ(reads[1], reads[0]) << name;
+    EXPECT_LT(reads[1], items_->heap_page_count() / 4) << name;
+  }
+}
+
+TEST_F(KeyLookupTest, ParallelHeapScanClearsTheIndexFlag) {
+  Reopen();
+  const std::string sql = "SELECT id FROM items WHERE id < 100";
+  ASSERT_OK(Connect(1, AccessPath::kForceIndex, 1024)->Query(sql).status());
+  EXPECT_TRUE(items_->last_scan_used_index());
+  auto heap = Connect(4, AccessPath::kForceHeap, 1024)->Query(sql);
+  ASSERT_OK(heap.status());
+  EXPECT_EQ(heap->rows.size(), 100u);
+  EXPECT_FALSE(items_->last_scan_used_index());
 }
 
 }  // namespace
