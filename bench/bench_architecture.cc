@@ -129,7 +129,7 @@ BENCHMARK(BM_BatchSizeSweep)->Arg(1)->Arg(64)->Arg(1024)->Arg(4096)
 // into the leaf (ScanSpec::predicates): rows failing the predicates are
 // never materialized, survivors flow to the projection as a selection
 // vector with no compaction in between, and the projection's arithmetic
-// runs through FusedExpr over the columns. The counter reports source rows
+// runs through RexColumnar over the columns. The counter reports source rows
 // per second (the scan still inspects every stored row).
 void BM_FilterPushdownSweep(benchmark::State& state) {
   constexpr int kRows = 100000;

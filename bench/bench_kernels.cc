@@ -6,12 +6,6 @@
 //
 // Each benchmark drives exactly one kernel over a pre-built zero-copy
 // column slice, so the timings isolate the loop the SIMD work targets.
-// BM_FusedExprSweep additionally diffs the tree-fusing bytecode
-// interpreter (FusedExpr) against the per-node RexColumnar walk on the
-// same multi-node expression, at the interpreter's block size and at the
-// full slice.
-//
-// The fused sweep is gated on __has_include of the fusion header.
 
 #include <benchmark/benchmark.h>
 
@@ -26,10 +20,6 @@
 #include "exec/column_batch.h"
 #include "rex/rex_builder.h"
 #include "rex/rex_columnar.h"
-#if __has_include("rex/rex_fuse.h")
-#include "rex/rex_fuse.h"
-#define CALCITE_BENCH_HAS_FUSE 1
-#endif
 #include "type/rel_data_type.h"
 #include "type/value.h"
 
@@ -212,105 +202,6 @@ void BM_KernelSelectionRefill(benchmark::State& state) {
       static_cast<double>(rows_processed), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_KernelSelectionRefill)->Unit(benchmark::kMicrosecond);
-
-#ifdef CALCITE_BENCH_HAS_FUSE
-// Fused-vs-per-node sweep over both FusedExpr entry points, each on a
-// 3+-operator tree, at the pipeline batch size (1024: every iteration
-// processes all 64 consecutive 1024-row slices, exactly what a
-// batch-1024 pipeline does — and enough work per measurement to be
-// stable on a shared box) and at the full 64K slice.
-//
-// narrow:0 — AppendEvalColumn of the five-operator mixed-type tree
-// (($1 + $2) * $3) + (($1 - $2) * 0.5). The per-node walk materializes
-// one arena column per operator plus one per implicit int64→double
-// widening and one per broadcast literal (seven temporaries total),
-// re-reading each from memory; the fused interpreter runs the whole
-// tree register-to-register in 1024-row blocks (casts convert
-// in-register, the literal folds into an immediate) and writes only the
-// final column. Each batch's output goes to a fresh arena per the
-// RunEvalBench convention, so the per-node temporary allocations fusion
-// eliminates are priced in.
-//
-// narrow:1 — NarrowSelection of the three-node range predicate
-// $1 >= 100 AND $1 < 900. The per-node path narrows conjunct by
-// conjunct: two full compare passes over the column, each followed by a
-// selection filter; the fused program folds the pair into a single
-// inrange.i64 interval pass and one filter — half the data traffic,
-// no arena use on either side.
-//
-// Programs / expression trees are compiled once and reused across
-// batches, as pipelines do.
-void BM_FusedExprSweep(benchmark::State& state) {
-  RexBuilder rex;
-  const BenchTable& t = Table();
-  RexNodePtr a = rex.MakeInputRef(t.row_type, 1);
-  RexNodePtr b = rex.MakeInputRef(t.row_type, 2);
-  RexNodePtr x = rex.MakeInputRef(t.row_type, 3);
-  RexNodePtr left =
-      Call(rex, OpKind::kTimes, {Call(rex, OpKind::kPlus, {a, b}), x});
-  RexNodePtr right =
-      Call(rex, OpKind::kTimes,
-           {Call(rex, OpKind::kMinus, {a, b}), rex.MakeDoubleLiteral(0.5)});
-  RexNodePtr expr = Call(rex, OpKind::kPlus, {left, right});
-  RexNodePtr pred =
-      Call(rex, OpKind::kAnd,
-           {Call(rex, OpKind::kGreaterThanOrEqual,
-                 {a, rex.MakeIntLiteral(100)}),
-            Call(rex, OpKind::kLessThan, {a, rex.MakeIntLiteral(900)})});
-  const bool fused = state.range(0) != 0;
-  const size_t batch_rows = static_cast<size_t>(state.range(1));
-  const bool narrowing = state.range(2) != 0;
-  std::vector<ColumnBatch> batches;
-  for (size_t base = 0; base < kRows; base += batch_rows) {
-    batches.push_back(SliceTableColumns(t.columns, base, batch_rows,
-                                        t.columns));
-  }
-  SelectionVector identity(batch_rows);
-  for (size_t i = 0; i < batch_rows; ++i) {
-    identity[i] = static_cast<uint32_t>(i);
-  }
-  FusedExpr fexpr(expr);
-  FusedExpr fpred(pred);
-  size_t rows_processed = 0;
-  SelectionVector sel;
-  for (auto _ : state) {
-    for (const ColumnBatch& in : batches) {
-      if (narrowing) {
-        sel = identity;
-        ArenaPtr scratch = std::make_shared<Arena>();
-        Status s = fused
-                       ? fpred.NarrowSelection(in, scratch, &sel)
-                       : RexColumnar::NarrowSelection(pred, in, scratch, &sel);
-        if (!s.ok()) state.SkipWithError(s.ToString().c_str());
-        benchmark::DoNotOptimize(sel.data());
-      } else {
-        ColumnBatch out;
-        out.arena = std::make_shared<Arena>();
-        out.ShareStorage(in);
-        out.num_rows = in.ActiveCount();
-        Status s = fused ? fexpr.AppendEvalColumn(in, &out)
-                         : RexColumnar::AppendEvalColumn(expr, in, &out);
-        if (!s.ok()) state.SkipWithError(s.ToString().c_str());
-        benchmark::DoNotOptimize(out.cols.data());
-      }
-    }
-    rows_processed += kRows;
-  }
-  state.counters["rows_per_sec"] = benchmark::Counter(
-      static_cast<double>(rows_processed), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_FusedExprSweep)
-    ->ArgNames({"fused", "batch", "narrow"})
-    ->Args({0, 1024, 0})
-    ->Args({1, 1024, 0})
-    ->Args({0, 65536, 0})
-    ->Args({1, 65536, 0})
-    ->Args({0, 1024, 1})
-    ->Args({1, 1024, 1})
-    ->Args({0, 65536, 1})
-    ->Args({1, 65536, 1})
-    ->Unit(benchmark::kMicrosecond);
-#endif  // CALCITE_BENCH_HAS_FUSE
 
 // Group-id resolution in the columnar hash aggregate: SUM($1) GROUP BY the
 // key column given by Arg (4 = int64, 5 = double, 6 = string; 64 distinct

@@ -9,7 +9,7 @@
 #   scripts/ci.sh build-asan address,undefined
 #                                 # ASan+UBSan build; runs the batch-engine,
 #                                 # parity, and expression-kernel fuzz suites —
-#                                 # selection-vector indexing and the fused
+#                                 # selection-vector indexing and the columnar
 #                                 # batch kernels are exactly where
 #                                 # out-of-bounds reads would hide
 #   scripts/ci.sh build-scalar scalar
@@ -39,7 +39,7 @@ if [[ "$SANITIZER" == "scalar" ]]; then
   # parallel_exec_test is among them because the hash join, serial and
   # parallel alike, hashes single-int keys through simd::HashI64.
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
-    -R 'simd_kernels_test|rex_kernel_fuzz_test|rex_fuse_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|row_batch_test|parallel_exec_test'
+    -R 'simd_kernels_test|rex_kernel_fuzz_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|row_batch_test|parallel_exec_test'
 
   echo "=== done (scalar) ==="
   exit 0
@@ -60,7 +60,7 @@ if [[ -n "$SANITIZER" ]]; then
   #   thread x batch combinations, exactly the surface a race hides in.
   # - address/undefined: the batch-engine unit tests, the batch/row parity
   #   sweeps, and the randomized expression-kernel fuzz harness hammer
-  #   selection-vector indexing and the fused kernels, exactly the surface
+  #   selection-vector indexing and the columnar kernels, exactly the surface
   #   an out-of-bounds access or overflow hides in.
   # --no-tests=error: a green sanitizer run that executed zero tests
   # (missing GTest, filter typo) must fail loudly, not pass silently.
@@ -80,36 +80,34 @@ if [[ -n "$SANITIZER" ]]; then
   # parity suites force every kernel through SIMD and scalar dispatch
   # (ASan/UBSan catch lane over-reads past the tail; TSan sees the runtime
   # dispatch flag crossing the parallel sweeps), and simd_kernels_test
-  # diffs each intrinsic path against its scalar reference. The fused
-  # bytecode interpreter (rex_fuse_test plus the three-way fuzz
-  # differential) runs under both: its register scratch aliases input
-  # batch storage block-by-block (ASan catches a stale alias or a
-  # CompactSel write-ahead overrun), and the morsel-parallel sweeps build
-  # per-worker FusedExpr state that must never share mutable scratch
-  # (TSan). The fuzz differential itself runs under TSan as well — it is
-  # single-threaded, but flipping the runtime dispatch flag while fused
-  # programs cache compiled state is exactly where an unsynchronized
-  # shared-program mutation would surface. The rows->columns leaf suite
+  # diffs each intrinsic path against its scalar reference. The
+  # per-node-vs-per-row fuzz differential runs under both: RexColumnar
+  # aliases input columns into its results and compacts selections in
+  # place (ASan catches a stale alias or a CompactSel write-ahead overrun),
+  # and the morsel-parallel sweeps run every worker over the same shared
+  # RexNode stages, which must stay free of mutable state (TSan). Under
+  # TSan the fuzz run is single-threaded, but it flips the runtime dispatch
+  # flag, so an unsynchronized write to shared kernel state would surface
+  # there. The rows->columns leaf suite
   # (columnar_leaf_test) runs under both: RowsToColumns points StringRefs
   # into the source rows it pins (ASan catches a batch outliving its pin),
   # and its DiskTable case drives 4 paged morsel workers that convert,
-  # filter and box rows over a 16-page pool (TSan). alloc_count_test is excluded
-  # everywhere: it overrides global
-  # operator new, which fights the sanitizer allocators.
+  # filter and box rows over a 16-page pool (TSan). alloc_count_test is
+  # excluded everywhere: it overrides global operator new, which fights the
+  # sanitizer allocators.
   if [[ "$SANITIZER" == *thread* ]]; then
-    FILTER='parallel_exec_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|rex_fuse_test|rex_kernel_fuzz_test|storage_test|stats_test'
+    FILTER='parallel_exec_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|rex_kernel_fuzz_test|storage_test|stats_test'
   else
-    FILTER='row_batch_test|rex_kernel_fuzz_test|rex_fuse_test|simd_kernels_test|batch_parity_test|parallel_exec_test|columnar_parity_test|columnar_leaf_test|storage_test|stats_test'
+    FILTER='row_batch_test|rex_kernel_fuzz_test|simd_kernels_test|batch_parity_test|parallel_exec_test|columnar_parity_test|columnar_leaf_test|storage_test|stats_test'
   fi
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
     -R "$FILTER"
 
   if [[ "$SANITIZER" != *thread* ]]; then
     echo "=== fuzz (raised iterations under $SANITIZER) ==="
-    # The three-way fused-vs-per-node-vs-per-row differential gets a
-    # dedicated deep run: 5x the default iteration budget, under the
-    # sanitizer that would catch the out-of-bounds reads a lowering bug
-    # produces.
+    # The per-node-vs-per-row differential gets a dedicated deep run: 5x
+    # the default iteration budget, under the sanitizer that would catch
+    # the out-of-bounds reads a kernel bug produces.
     REX_FUZZ_ITERS=5 ctest --test-dir "$BUILD_DIR" --output-on-failure \
       --no-tests=error -R 'rex_kernel_fuzz_test'
   fi
@@ -128,7 +126,7 @@ echo "=== test ==="
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 
 echo "=== fuzz (raised iterations) ==="
-# Dedicated deep run of the fused-vs-per-node-vs-per-row differential:
+# Dedicated deep run of the per-node-vs-per-row differential:
 # 5x the default per-test iteration budget on the fast non-sanitized build.
 REX_FUZZ_ITERS=5 ctest --test-dir "$BUILD_DIR" --output-on-failure \
   --no-tests=error -R 'rex_kernel_fuzz_test'

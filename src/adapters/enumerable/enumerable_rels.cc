@@ -13,7 +13,6 @@
 #include "exec/parallel/parallel_exec.h"
 #include "metadata/metadata.h"
 #include "rex/rex_columnar.h"
-#include "rex/rex_fuse.h"
 #include "rex/rex_interpreter.h"
 #include "rex/rex_util.h"
 
@@ -23,13 +22,13 @@ namespace calcite {
 // evaluate expressions (filter, project, hash-join probe, hash aggregate)
 // consume ColumnBatches: their input's native columnar pipeline when it has
 // one, else its RowBatches through the one rows->columns leaf
-// (RowsToColumnsPuller). Every expression therefore runs through FusedExpr,
-// which falls back to the per-node RexColumnar kernels and then to per-row
-// RexInterpreter::Eval. Operators that evaluate no expressions (sort,
-// nested-loop join, set ops, values, window) exchange dense RowBatches
-// through ExecuteBatched. Execute() is the materializing wrapper over the
-// same pipeline; `batch_size = 1` reproduces row-at-a-time behavior exactly
-// (see the parity tests).
+// (RowsToColumnsPuller). Every expression therefore runs through the
+// per-node RexColumnar kernels, which fall back to per-row
+// RexInterpreter::Eval for nodes without a typed kernel. Operators that
+// evaluate no expressions (sort, nested-loop join, set ops, values, window)
+// exchange dense RowBatches through ExecuteBatched. Execute() is the
+// materializing wrapper over the same pipeline; `batch_size = 1` reproduces
+// row-at-a-time behavior exactly (see the parity tests).
 
 namespace {
 
@@ -58,10 +57,6 @@ struct RowLess {
     return a.size() < b.size();
   }
 };
-
-size_t NormalizedBatchSize(const ExecOptions& opts) {
-  return opts.batch_size == 0 ? 1 : opts.batch_size;
-}
 
 /// Bridges a columnar pipeline back to dense RowBatches (the conversion
 /// boundary for row consumers: sort, set ops, QueryResult).
@@ -106,12 +101,11 @@ Result<ColumnBatchPuller> OpenScanLeaf(const TableScan& scan,
                                        const ExecOptions& opts) {
   TypeFactory type_factory;
   if (TableColumnsPtr columns = scan.table()->MaterializedColumns(type_factory)) {
-    return ScanTableColumns(std::move(columns), NormalizedBatchSize(opts),
-                            std::move(pushed), scan.shared_from_this(),
-                            opts.enable_fusion);
+    return ScanTableColumns(std::move(columns), opts.Normalized().batch_size,
+                            std::move(pushed), scan.shared_from_this());
   }
   ScanSpec spec;
-  spec.batch_size = NormalizedBatchSize(opts);
+  spec.batch_size = opts.Normalized().batch_size;
   spec.predicates = std::move(pushed);
   spec.access_path = opts.access_path;
   auto puller = scan.table()->OpenScan(spec);
@@ -186,7 +180,7 @@ Result<RowBatchPuller> EnumerableTableScan::ExecuteBatched(
     return std::move(*parallel);
   }
   ScanSpec spec;
-  spec.batch_size = NormalizedBatchSize(opts);
+  spec.batch_size = opts.Normalized().batch_size;
   spec.access_path = opts.access_path;
   auto puller = table_->OpenScan(spec);
   if (!puller.ok()) return puller;
@@ -207,9 +201,8 @@ EnumerableTableScan::TryExecuteColumnar(const ExecOptions& opts) const {
   // pinning the node (which owns the table) keeps that storage alive for as
   // long as the pipeline is pulled.
   return Result<ColumnBatchPuller>(
-      ScanTableColumns(std::move(columns), NormalizedBatchSize(opts),
-                       ScanPredicateList{}, shared_from_this(),
-                       opts.enable_fusion));
+      ScanTableColumns(std::move(columns), opts.Normalized().batch_size,
+                       ScanPredicateList{}, shared_from_this()));
 }
 
 // --------------------------------- Filter ---------------------------------
@@ -266,15 +259,10 @@ std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
   if (!in.ok()) return in;
   ColumnBatchPuller pull = std::move(in).value();
 
-  // Residual conjuncts narrow through FusedExpr: whole-tree bytecode
-  // programs where the predicate lowers (rex/rex_fuse.h), the per-node
-  // kernels otherwise. The puller is single-consumer, matching FusedExpr's
-  // one-producer-thread contract.
-  auto conjuncts = std::make_shared<std::vector<FusedExpr>>();
-  conjuncts->reserve(residual.size());
-  for (RexNodePtr& pred : residual) {
-    conjuncts->emplace_back(std::move(pred), opts.enable_fusion);
-  }
+  // Residual conjuncts narrow through the RexColumnar kernels in order,
+  // each on the survivors of the last.
+  auto conjuncts =
+      std::make_shared<const std::vector<RexNodePtr>>(std::move(residual));
   // Scratch arenas for residual predicate evaluation; recycled batch to
   // batch (nothing the predicate allocates outlives the narrowing).
   auto pool = std::make_shared<ArenaPool>();
@@ -294,10 +282,10 @@ std::optional<Result<ColumnBatchPuller>> EnumerableFilter::TryExecuteColumnar(
               cols.has_sel = true;
             }
             ArenaPtr scratch = pool->Acquire();
-            for (FusedExpr& pred : *conjuncts) {
+            for (const RexNodePtr& pred : *conjuncts) {
               if (cols.sel.empty()) break;
-              CALCITE_RETURN_IF_ERROR(
-                  pred.NarrowSelection(cols, scratch, &cols.sel));
+              CALCITE_RETURN_IF_ERROR(RexColumnar::NarrowSelection(
+                  pred, cols, scratch, &cols.sel));
             }
           }
           // Whole batch eliminated: keep pulling (mid-stream batches always
@@ -350,19 +338,11 @@ std::optional<Result<ColumnBatchPuller>> EnumerableProject::TryExecuteColumnar(
   if (!in.ok()) return in;
   RelNodePtr self = shared_from_this();  // pins exprs_ for the pipeline
   ColumnBatchPuller pull = std::move(in).value();
-  // Projection exprs evaluate through FusedExpr: whole-tree bytecode where
-  // the expression lowers, per-node kernels otherwise (single-consumer
-  // puller, so one FusedExpr per expression is safe).
-  auto fused = std::make_shared<std::vector<FusedExpr>>();
-  fused->reserve(exprs_.size());
-  for (const RexNodePtr& expr : exprs_) {
-    fused->emplace_back(expr, opts.enable_fusion);
-  }
   // Output columns are bump-allocated; each batch's arena is recycled once
   // the consumer drops the batch.
   auto pool = std::make_shared<ArenaPool>();
   return Result<ColumnBatchPuller>(ColumnBatchPuller(
-      [self, fused, pull, pool]() -> Result<ColumnBatch> {
+      [this, self, pull, pool]() -> Result<ColumnBatch> {
         auto batch = pull();
         if (!batch.ok()) return batch;
         ColumnBatch in_cols = std::move(batch).value();
@@ -373,8 +353,9 @@ std::optional<Result<ColumnBatchPuller>> EnumerableProject::TryExecuteColumnar(
         out.arena = pool->Acquire();
         out.num_rows = in_cols.ActiveCount();
         out.ShareStorage(in_cols);
-        for (FusedExpr& expr : *fused) {
-          CALCITE_RETURN_IF_ERROR(expr.AppendEvalColumn(in_cols, &out));
+        for (const RexNodePtr& expr : exprs_) {
+          CALCITE_RETURN_IF_ERROR(
+              RexColumnar::AppendEvalColumn(expr, in_cols, &out));
         }
         return out;
       }));
@@ -469,7 +450,7 @@ Result<RowBatchPuller> EnumerableHashJoin::ExecuteBatched(
 
   RelNodePtr self = shared_from_this();
   const size_t left_width = input(0)->row_type()->fields().size();
-  const size_t batch_size = NormalizedBatchSize(opts);
+  const size_t batch_size = opts.Normalized().batch_size;
   auto state = std::make_shared<JoinExecState>();
   auto scratch = std::make_shared<ProbeScratch>();
   RowBatchPuller right_pull = std::move(right).value();
@@ -553,7 +534,7 @@ Result<RowBatchPuller> EnumerableNestedLoopJoin::ExecuteBatched(
   const JoinType join_type = join_type_;
   const size_t left_width = input(0)->row_type()->fields().size();
   const size_t right_width = input(1)->row_type()->fields().size();
-  const size_t batch_size = NormalizedBatchSize(opts);
+  const size_t batch_size = opts.Normalized().batch_size;
   auto state = std::make_shared<JoinExecState>();
   auto build = std::make_shared<JoinBuildRows>();
   RowBatchPuller left_pull = std::move(left).value();
@@ -634,7 +615,7 @@ Result<RowBatchPuller> EnumerableAggregate::ExecuteBatched(
     return std::move(*parallel);
   }
   RelNodePtr self = shared_from_this();
-  const size_t batch_size = NormalizedBatchSize(opts);
+  const size_t batch_size = opts.Normalized().batch_size;
   // The parallel aggregate's builder with one worker: batches feed the
   // typed accumulator adders straight from raw column storage, and group
   // keys resolve off hashed key columns without boxing a cell unless the
@@ -704,7 +685,7 @@ Result<RowBatchPuller> EnumerableSort::ExecuteBatched(
   const EnumerableSort* node = this;
   const int64_t offset = offset_;
   const int64_t fetch = fetch_;
-  const size_t batch_size = NormalizedBatchSize(opts);
+  const size_t batch_size = opts.Normalized().batch_size;
   auto state = std::make_shared<SortState>();
   RowBatchPuller pull = std::move(in).value();
 
@@ -877,7 +858,7 @@ Result<RowBatchPuller> EnumerableSetOp::ExecuteBatched(
   const Kind kind = set_kind_;
   const bool all = all_;
   std::vector<RelNodePtr> ins = inputs();
-  const size_t batch_size = NormalizedBatchSize(opts);
+  const size_t batch_size = opts.Normalized().batch_size;
   auto state = std::make_shared<std::optional<RowBatchPuller>>();
   return RowBatchPuller(
       [self, kind, all, ins, batch_size, state,
@@ -920,7 +901,7 @@ Result<std::vector<Row>> EnumerableValues::Execute() const { return tuples_; }
 Result<RowBatchPuller> EnumerableValues::ExecuteBatched(
     const ExecOptions& opts) const {
   RelNodePtr self = shared_from_this();  // pins tuples_ for the slicer
-  RowBatchPuller pull = SliceRows(tuples_, NormalizedBatchSize(opts));
+  RowBatchPuller pull = SliceRows(tuples_, opts.Normalized().batch_size);
   return RowBatchPuller(
       [self, pull]() -> Result<RowBatch> { return pull(); });
 }
@@ -1036,7 +1017,8 @@ Result<RowBatchPuller> EnumerableWindow::ExecuteBatched(
   CALCITE_ASSIGN_OR_RETURN(RowBatchPuller in, input(0)->ExecuteBatched(opts));
   CALCITE_ASSIGN_OR_RETURN(std::vector<Row> data, DrainBatches(in));
   CALCITE_ASSIGN_OR_RETURN(std::vector<Row> rows, EvaluateWindow(groups_, data));
-  RowBatchPuller puller = ChunkRows(std::move(rows), NormalizedBatchSize(opts));
+  RowBatchPuller puller =
+      ChunkRows(std::move(rows), opts.Normalized().batch_size);
   RelNodePtr self = shared_from_this();
   return RowBatchPuller(
       [self, puller]() -> Result<RowBatch> { return puller(); });

@@ -39,7 +39,7 @@ class EnumerableTableScan final : public TableScan {
 /// Filter over ColumnBatches: when the input is a table scan, the simple
 /// `column <op> literal` / NULL-test conjuncts run inside the leaf scan
 /// before rows are materialized (ScanSpec::predicates), and the residual
-/// narrows each batch's selection vector through FusedExpr.
+/// narrows each batch's selection vector through RexColumnar.
 /// ExecuteBatched boxes the survivors for row consumers.
 class EnumerableFilter final : public Filter {
  public:
@@ -73,7 +73,7 @@ class EnumerableProject final : public Project {
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
   /// Columnar projection: each expression becomes one dense output column
-  /// computed by FusedExpr over the input's active rows; input columns
+  /// computed by RexColumnar over the input's active rows; input columns
   /// referenced verbatim are aliased, not copied, when no selection is in
   /// play. Always returns a puller.
   std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(

@@ -523,17 +523,12 @@ void NarrowByScanPredicate(const ScanPredicate& pred, const ColumnBatch& batch,
 
 ColumnBatchPuller ScanTableColumns(TableColumnsPtr columns, size_t batch_size,
                                    ScanPredicateList predicates,
-                                   std::shared_ptr<const void> pin,
-                                   bool fuse_ranges) {
+                                   std::shared_ptr<const void> pin) {
   if (batch_size == 0) batch_size = 1;
   // Bound pairs fuse once at puller construction, not per batch.
   auto ranges = std::make_shared<std::vector<FusedScanRange>>();
   auto preds = std::make_shared<ScanPredicateList>();
-  if (fuse_ranges) {
-    FuseScanRanges(std::move(predicates), ranges.get(), preds.get());
-  } else {
-    *preds = std::move(predicates);
-  }
+  FuseScanRanges(std::move(predicates), ranges.get(), preds.get());
   size_t pos = 0;
   return [columns, batch_size, ranges, preds, pin,
           pos]() mutable -> Result<ColumnBatch> {

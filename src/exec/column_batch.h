@@ -257,14 +257,11 @@ void HashColumn(const ColumnVector& col, const uint32_t* sel, size_t n,
 /// rows over `columns`, applying `predicates` on raw column storage and
 /// attaching the surviving selection to each batch (batches where nothing
 /// survives are skipped, never yielded empty). `pin` keeps the owning table
-/// alive while pulling. When `fuse_ranges` is set (ExecOptions::
-/// enable_fusion at the call sites), bound pairs among the predicates are
-/// fused once up front via FuseScanRanges and applied as single interval
-/// tests.
+/// alive while pulling. Bound pairs among the predicates are fused once up
+/// front via FuseScanRanges and applied as single interval tests.
 ColumnBatchPuller ScanTableColumns(TableColumnsPtr columns, size_t batch_size,
                                    ScanPredicateList predicates,
-                                   std::shared_ptr<const void> pin,
-                                   bool fuse_ranges = true);
+                                   std::shared_ptr<const void> pin);
 
 /// Boxes the *active* rows of `batch` into a compact RowBatch (the
 /// column-to-row conversion boundary used by unconverted consumers).

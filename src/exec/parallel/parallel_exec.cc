@@ -15,7 +15,6 @@
 #include "exec/parallel/task_scheduler.h"
 #include "rel/core.h"
 #include "rex/rex_columnar.h"
-#include "rex/rex_fuse.h"
 
 namespace calcite {
 
@@ -168,44 +167,15 @@ bool RecognizeMorselPipeline(const RelNode& root, AccessPath access_path,
 // Worker side: morsel -> stage chain -> sink
 // ---------------------------------------------------------------------------
 
-/// Worker-local fused view of one pipeline stage: a FusedExpr per filter
-/// predicate / projection expression. FusedExpr caches a compiled bytecode
-/// program and register scratch and is not thread-safe (same contract as
-/// ArenaPool), so every worker builds its own list next to its scratch
-/// pool instead of sharing the RexNode-level stages directly.
-struct FusedStage {
-  std::unique_ptr<FusedExpr> filter;
-  std::vector<FusedExpr> project;
-};
-
-std::vector<FusedStage> BuildFusedStages(
-    const std::vector<PipelineStage>& stages, bool enable_fusion) {
-  std::vector<FusedStage> out;
-  out.reserve(stages.size());
-  for (const PipelineStage& stage : stages) {
-    FusedStage fused;
-    if (stage.filter != nullptr) {
-      fused.filter = std::make_unique<FusedExpr>(stage.filter, enable_fusion);
-    } else {
-      fused.project.reserve(stage.project->size());
-      for (const RexNodePtr& expr : *stage.project) {
-        fused.project.emplace_back(expr, enable_fusion);
-      }
-    }
-    out.push_back(std::move(fused));
-  }
-  return out;
-}
-
-/// Runs the stage chain on raw columns — the same FusedExpr semantics as
-/// the serial filter/project operators, whichever worker thread runs it:
+/// Runs the stage chain on raw columns — the same RexColumnar calls as the
+/// serial filter/project operators, whichever worker thread runs it:
 /// filter stages narrow the batch's selection, project stages rebuild the
-/// batch densely (selection consumed on write). `pool` and `stages` are
-/// worker-local, so arena recycling and the fused interpreter state stay on
-/// one thread (batches never leave the worker as columns).
-Status ApplyStagesColumnar(std::vector<FusedStage>* stages, ArenaPool* pool,
-                           ColumnBatch* batch) {
-  for (FusedStage& stage : *stages) {
+/// batch densely (selection consumed on write). The stages are shared and
+/// immutable; `pool` is worker-local, so arena recycling stays on one
+/// thread (batches never leave the worker as columns).
+Status ApplyStagesColumnar(const std::vector<PipelineStage>& stages,
+                           ArenaPool* pool, ColumnBatch* batch) {
+  for (const PipelineStage& stage : stages) {
     if (batch->ActiveCount() == 0) return Status::OK();
     if (stage.filter != nullptr) {
       if (!batch->has_sel) {
@@ -216,15 +186,16 @@ Status ApplyStagesColumnar(std::vector<FusedStage>* stages, ArenaPool* pool,
         batch->has_sel = true;
       }
       ArenaPtr scratch = pool->Acquire();
-      CALCITE_RETURN_IF_ERROR(
-          stage.filter->NarrowSelection(*batch, scratch, &batch->sel));
+      CALCITE_RETURN_IF_ERROR(RexColumnar::NarrowSelection(
+          stage.filter, *batch, scratch, &batch->sel));
     } else {
       ColumnBatch out;
       out.arena = pool->Acquire();
       out.num_rows = batch->ActiveCount();
       out.ShareStorage(*batch);
-      for (FusedExpr& expr : stage.project) {
-        CALCITE_RETURN_IF_ERROR(expr.AppendEvalColumn(*batch, &out));
+      for (const RexNodePtr& expr : *stage.project) {
+        CALCITE_RETURN_IF_ERROR(
+            RexColumnar::AppendEvalColumn(expr, *batch, &out));
       }
       *batch = std::move(out);
     }
@@ -242,16 +213,14 @@ struct MorselBatch {
   ColumnBatch cols;
 };
 
-/// A worker's view of a fragment: its own fused stages and arena pool.
+/// A worker's view of a fragment: the shared stages and its own arena pool.
 /// Run() streams one claimed morsel through the leaf and the stage chain
 /// into a sink; Rows()/Columns() hand a batch over in whichever form the
 /// sink consumes, converting only when the forms differ.
 class MorselRunner {
  public:
   MorselRunner(FragmentSourcePtr src, const ExecOptions& opts)
-      : src_(std::move(src)),
-        stages_(BuildFusedStages(src_->stages, opts.enable_fusion)),
-        batch_size_(opts.batch_size) {}
+      : src_(std::move(src)), batch_size_(opts.batch_size) {}
 
   /// Calls `sink(MorselBatch&&) -> Status` for every batch of `morsel` with
   /// live rows; stops at the first error or once `cancel` is set.
@@ -283,7 +252,7 @@ class MorselRunner {
       CALCITE_ASSIGN_OR_RETURN(RowBatch rows, pull());
       if (rows.empty()) break;
       MorselBatch batch;
-      batch.is_rows = stages_.empty();
+      batch.is_rows = src_->stages.empty();
       if (batch.is_rows) {
         batch.rows = std::move(rows);
       } else {
@@ -317,14 +286,13 @@ class MorselRunner {
   Status Stage(MorselBatch* batch, Sink& sink) {
     if (!batch->is_rows) {
       CALCITE_RETURN_IF_ERROR(
-          ApplyStagesColumnar(&stages_, &pool_, &batch->cols));
+          ApplyStagesColumnar(src_->stages, &pool_, &batch->cols));
       if (batch->cols.ActiveCount() == 0) return Status::OK();
     }
     return sink(std::move(*batch));
   }
 
   FragmentSourcePtr src_;
-  std::vector<FusedStage> stages_;
   ArenaPool pool_;
   size_t batch_size_;
 };

@@ -25,7 +25,7 @@ namespace calcite {
 ///    columnar cache, or scan units (page runs) of a paged table, opened
 ///    with the bottom filter's pushed conjuncts — run the whole
 ///    filter/project chain morsel-at-a-time over ColumnBatches through
-///    FusedExpr, box the survivors and exchange them to the consumer.
+///    RexColumnar, box the survivors and exchange them to the consumer.
 ///    Tables with neither surface stay serial, and so does a pipeline whose
 ///    paged table answers the pushed conjuncts from its index
 ///    (Table::ScanUsesIndex under opts.access_path): the serial leaf takes

@@ -57,31 +57,21 @@ struct ExecOptions {
   /// unordered fragments for throughput.
   size_t num_threads = 1;
 
-  /// When true (the default), columnar expression evaluation lowers whole
-  /// RexNode trees into flat register-allocated bytecode programs
-  /// (rex/rex_fuse.h) executed block-at-a-time against the SIMD kernels,
-  /// instead of materializing one arena temporary per operator node. Trees
-  /// the fuser cannot lower (strings, non-literal divisors, unsupported
-  /// operators) silently fall back to the per-node path, so this flag never
-  /// changes results — the differential fuzz and parity suites run both
-  /// ways to prove it. It also gates range-fusion of pushed scan
-  /// predicates ($0 >= a AND $0 < b -> one interval test).
-  bool enable_fusion = true;
-
   /// Access-path hint handed to every leaf scan (via ScanSpec). kAuto is
   /// the cost-based default; the forced settings exist for benchmarks,
   /// plan-stability debugging, and the differential parity suites.
   AccessPath access_path = AccessPath::kAuto;
 
-  /// Both knobs clamped to their valid range: a zero batch_size would make
-  /// every puller yield the empty batch that means end-of-stream (hanging
-  /// or truncating pipelines), and zero worker threads could never pull
-  /// anything, so both clamp to 1. batch_size additionally clamps to
+  /// All three options clamped to their valid range: a zero batch_size
+  /// would make every puller yield the empty batch that means end-of-stream
+  /// (hanging or truncating pipelines), and zero worker threads could never
+  /// pull anything, so both clamp to 1. batch_size additionally clamps to
   /// kMaxBatchSize: arena chunk sizing scales with the batch, so a
   /// pathological upper bound must not become a giant allocation. An
   /// access_path outside the enum (a config cast gone wrong) degrades to
   /// kAuto. Every execution entry point normalizes its options before
-  /// building pipelines.
+  /// building pipelines, and each serial operator takes its batch size from
+  /// here, so no operator yields more than kMaxBatchSize rows per batch.
   ExecOptions Normalized() const {
     ExecOptions out = *this;
     if (out.batch_size == 0) out.batch_size = 1;

@@ -68,21 +68,6 @@ void ArithScalar(Arith op, const T* a, const T* b, size_t n, T* out) {
   }
 }
 
-template <typename T>
-void ArithLitScalar(Arith op, const T* a, T lit, size_t n, T* out) {
-  switch (op) {
-    case Arith::kAdd:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] + lit;
-      break;
-    case Arith::kSub:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] - lit;
-      break;
-    case Arith::kMul:
-      for (size_t i = 0; i < n; ++i) out[i] = a[i] * lit;
-      break;
-  }
-}
-
 /// Inclusive bounds are NOT(strictly outside) so that for doubles a NaN
 /// lane (all orderings false) passes inclusive and fails strict bounds,
 /// matching the three-way CmpPasses semantics kernel-for-kernel.
@@ -99,11 +84,6 @@ void InRangeScalar(const T* v, T lo, bool lo_strict, T hi, bool hi_strict,
 void OrMasksScalar(const uint8_t* a, const uint8_t* b, size_t n,
                    uint8_t* out) {
   for (size_t i = 0; i < n; ++i) out[i] = (a[i] | b[i]) ? 1 : 0;
-}
-
-void AndMasksScalar(const uint8_t* a, const uint8_t* b, size_t n,
-                    uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) out[i] = (a[i] && b[i]) ? 1 : 0;
 }
 
 void AndNotMaskScalar(const uint8_t* value, const uint8_t* off, size_t n,
@@ -299,52 +279,6 @@ void ArithF64(Arith op, const double* a, const double* b, size_t n,
   ArithScalar(op, a + i, b + i, n - i, out + i);
 }
 
-void ArithI64Lit(Arith op, const int64_t* a, int64_t lit, size_t n,
-                 int64_t* out) {
-  const __m256i vb = _mm256_set1_epi64x(lit);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i va = LoadU(a + i);
-    __m256i r;
-    switch (op) {
-      case Arith::kAdd:
-        r = _mm256_add_epi64(va, vb);
-        break;
-      case Arith::kSub:
-        r = _mm256_sub_epi64(va, vb);
-        break;
-      case Arith::kMul:
-        r = Mul64(va, vb);
-        break;
-    }
-    StoreU(out + i, r);
-  }
-  ArithLitScalar(op, a + i, lit, n - i, out + i);
-}
-
-void ArithF64Lit(Arith op, const double* a, double lit, size_t n,
-                 double* out) {
-  const __m256d vb = _mm256_set1_pd(lit);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d va = _mm256_loadu_pd(a + i);
-    __m256d r;
-    switch (op) {
-      case Arith::kAdd:
-        r = _mm256_add_pd(va, vb);
-        break;
-      case Arith::kSub:
-        r = _mm256_sub_pd(va, vb);
-        break;
-      case Arith::kMul:
-        r = _mm256_mul_pd(va, vb);
-        break;
-    }
-    _mm256_storeu_pd(out + i, r);
-  }
-  ArithLitScalar(op, a + i, lit, n - i, out + i);
-}
-
 void InRangeI64(const int64_t* v, int64_t lo, bool lo_strict, int64_t hi,
                 bool hi_strict, size_t n, uint8_t* out) {
   const __m256i vlo = _mm256_set1_epi64x(lo);
@@ -400,19 +334,6 @@ void OrMasks(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out) {
     StoreU(out + i, _mm256_andnot_si256(is_zero, one));
   }
   OrMasksScalar(a + i, b + i, n - i, out + i);
-}
-
-void AndMasks(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out) {
-  const __m256i zero = _mm256_setzero_si256();
-  const __m256i one = _mm256_set1_epi8(1);
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
-    const __m256i a_zero = _mm256_cmpeq_epi8(LoadU(a + i), zero);
-    const __m256i b_zero = _mm256_cmpeq_epi8(LoadU(b + i), zero);
-    const __m256i either_zero = _mm256_or_si256(a_zero, b_zero);
-    StoreU(out + i, _mm256_andnot_si256(either_zero, one));
-  }
-  AndMasksScalar(a + i, b + i, n - i, out + i);
 }
 
 void AndNotMask(const uint8_t* value, const uint8_t* off, size_t n,
@@ -680,22 +601,6 @@ void ArithF64(Arith op, const double* a, const double* b, size_t n,
   ArithScalar(op, a, b, n, out);
 }
 
-void ArithI64Lit(Arith op, const int64_t* a, int64_t lit, size_t n,
-                 int64_t* out) {
-#if CALCITE_SIMD_LEVEL >= 2
-  if (Enabled()) return avx2::ArithI64Lit(op, a, lit, n, out);
-#endif
-  ArithLitScalar(op, a, lit, n, out);
-}
-
-void ArithF64Lit(Arith op, const double* a, double lit, size_t n,
-                 double* out) {
-#if CALCITE_SIMD_LEVEL >= 2
-  if (Enabled()) return avx2::ArithF64Lit(op, a, lit, n, out);
-#endif
-  ArithLitScalar(op, a, lit, n, out);
-}
-
 void I64ToF64(const int64_t* v, size_t n, double* out) {
   // No AVX2 int64->double conversion exists; the plain loop vectorizes as
   // well as the magic-number tricks on current compilers.
@@ -723,13 +628,6 @@ void OrMasks(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out) {
   if (Enabled()) return avx2::OrMasks(a, b, n, out);
 #endif
   OrMasksScalar(a, b, n, out);
-}
-
-void AndMasks(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out) {
-#if CALCITE_SIMD_LEVEL >= 2
-  if (Enabled()) return avx2::AndMasks(a, b, n, out);
-#endif
-  AndMasksScalar(a, b, n, out);
 }
 
 void AndNotMask(const uint8_t* value, const uint8_t* off, size_t n,

@@ -93,12 +93,6 @@ void ArithI64(Arith op, const int64_t* a, const int64_t* b, size_t n,
               int64_t* out);
 void ArithF64(Arith op, const double* a, const double* b, size_t n,
               double* out);
-/// Column-vs-literal forms (the broadcast is folded into the kernel; kSub
-/// computes a[i] - lit, so a literal-on-the-left subtraction does not fold).
-void ArithI64Lit(Arith op, const int64_t* a, int64_t lit, size_t n,
-                 int64_t* out);
-void ArithF64Lit(Arith op, const double* a, double lit, size_t n,
-                 double* out);
 
 /// out[i] = double(v[i]) — the widening used by mixed int/double operands.
 void I64ToF64(const int64_t* v, size_t n, double* out);
@@ -120,8 +114,6 @@ void InRangeF64(const double* v, double lo, bool lo_strict, double hi,
 
 /// out[i] = (a[i] || b[i]) ? 1 : 0 — the NULL-strict null-map fold.
 void OrMasks(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out);
-/// out[i] = (a[i] && b[i]) ? 1 : 0 — conjunction of two predicate masks.
-void AndMasks(const uint8_t* a, const uint8_t* b, size_t n, uint8_t* out);
 /// out[i] = (value[i] && !off[i]) ? 1 : 0 — boolean result minus its nulls.
 void AndNotMask(const uint8_t* value, const uint8_t* off, size_t n,
                 uint8_t* out);

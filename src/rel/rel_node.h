@@ -122,7 +122,8 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
   }
 
   /// Executes the node as a vectorized pull pipeline: the returned puller
-  /// yields RowBatch chunks of at most `opts.batch_size` rows (an empty
+  /// yields RowBatch chunks of at most `opts.Normalized().batch_size` rows
+  /// (so never more than kMaxBatchSize, whatever the caller passed; an empty
   /// batch ends the stream). The enumerable convention's operators override
   /// this with native batch implementations; foreign-convention adapter
   /// nodes inherit this default, which materializes through Execute() and
@@ -132,7 +133,8 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
   virtual Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts) const {
     auto rows = Execute();
     if (!rows.ok()) return rows.status();
-    RowBatchPuller puller = ChunkRows(std::move(rows).value(), opts.batch_size);
+    RowBatchPuller puller =
+        ChunkRows(std::move(rows).value(), opts.Normalized().batch_size);
     RelNodePtr self = shared_from_this();
     return RowBatchPuller(
         [self, puller]() -> Result<RowBatch> { return puller(); });
@@ -144,10 +146,10 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
   /// columnar consumer converts its ExecuteBatched stream through the one
   /// rows->columns leaf (RowsToColumnsPuller). Scan (over tables with a
   /// columnar cache), filter and project override this; every expression
-  /// the engine evaluates is evaluated over these batches. Same ownership
-  /// contract as ExecuteBatched: the puller shares ownership of the node,
-  /// and each yielded batch owns (or pins) everything its columns point
-  /// into.
+  /// the engine evaluates is evaluated over these batches by RexColumnar.
+  /// Same ownership contract as ExecuteBatched: the puller shares ownership
+  /// of the node, and each yielded batch owns (or pins) everything its
+  /// columns point into.
   virtual std::optional<Result<ColumnBatchPuller>> TryExecuteColumnar(
       const ExecOptions& opts) const {
     (void)opts;

@@ -10,14 +10,14 @@
 
 namespace calcite {
 
-/// Columnar expression kernels: per-node tight loops over contiguous typed
-/// columns, the tier FusedExpr falls back to for trees it cannot lower.
-/// Semantics are
-/// identical to per-row Eval — SQL three-valued logic, NULL-strict
-/// arithmetic with the NULL check before the division-by-zero check, errors
-/// raised only for rows in the active selection — which the differential
-/// fuzz suite (tests/rex_kernel_fuzz_test.cc) enforces against the row
-/// oracle.
+/// The columnar expression evaluator: per-node tight loops over contiguous
+/// typed columns, used by filter, project and the morsel workers. Stateless
+/// and safe to call from any thread over shared, immutable RexNodes.
+/// Semantics are identical to per-row Eval — SQL three-valued logic,
+/// NULL-strict arithmetic with the NULL check before the division-by-zero
+/// check, errors raised only for rows in the active selection — which the
+/// differential fuzz suite (tests/rex_kernel_fuzz_test.cc) enforces against
+/// the row oracle.
 class RexColumnar {
  public:
   /// Physical class of `node`'s result when evaluated over inputs with the

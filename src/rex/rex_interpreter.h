@@ -15,10 +15,9 @@ namespace calcite {
 /// AND/OR short-circuit with UNKNOWN handling; predicates used as filters
 /// treat UNKNOWN as not-passing.
 ///
-/// Operators evaluate expressions over ColumnBatches (FusedExpr, then
-/// RexColumnar); this per-row evaluator is their fallback for nodes no
-/// typed kernel covers and the oracle the differential suites compare
-/// them against.
+/// Operators evaluate expressions over ColumnBatches through RexColumnar;
+/// this per-row evaluator is its fallback for nodes no typed kernel covers
+/// and the oracle the differential suites compare it against.
 class RexInterpreter {
  public:
   /// Evaluates `node` with `input` bound as the source row ($i refers to

@@ -7,13 +7,15 @@
 //    puller.
 //  - Filter, project and aggregate above every row-native operator (hash
 //    join, nested-loop join, window, union, values, EnumerableInterpreter),
-//    at batch {1, 1024} x threads {1, 4} x fusion on/off, against the
-//    per-row oracle (row_oracle.h).
+//    at batch {1, 1024} x threads {1, 4}, against the per-row oracle
+//    (row_oracle.h).
 //  - A DiskTable (paged leaf, no columnar cache) at 4 threads over a
 //    16-page pool: pushed-only, pushed+residual, BETWEEN and string
 //    predicates, bare and under project/aggregate, against the serial run,
 //    under kAuto (key ranges take the index) and kForceHeap (page-run
 //    morsels).
+//  - FuseScanRanges, which pairs a column's lower and upper pushed bounds
+//    into the one interval test the columnar scan leaf applies.
 
 #include <gtest/gtest.h>
 
@@ -31,7 +33,7 @@
 #include "exec/column_batch.h"
 #include "rel/core.h"
 #include "rex/rex_builder.h"
-#include "rex/rex_fuse.h"
+#include "rex/rex_columnar.h"
 #include "row_oracle.h"
 #include "storage/disk_table.h"
 
@@ -144,8 +146,9 @@ TEST_F(RowsToColumnsTest, StringsOutliveTheSourceBatchThroughThePin) {
     projected.arena = std::make_shared<Arena>();
     projected.num_rows = in.ActiveCount();
     projected.ShareStorage(in);
-    FusedExpr ref(rex_.MakeInputRef(TestRowType(tf_), 2));
-    ASSERT_TRUE(ref.AppendEvalColumn(in, &projected).ok());
+    ASSERT_TRUE(RexColumnar::AppendEvalColumn(
+                    rex_.MakeInputRef(TestRowType(tf_), 2), in, &projected)
+                    .ok());
     survivor = cols.value();  // shallow copy; the original is dropped here
   }
   ASSERT_NE(survivor.rows, nullptr);
@@ -360,23 +363,19 @@ TEST_F(RowNativeParityTest, ExpressionsAboveRowNativeOperatorsMatchOracle) {
       std::sort(want_sorted.begin(), want_sorted.end());
       for (size_t bs : {size_t{1}, size_t{1024}}) {
         for (size_t threads : {size_t{1}, size_t{4}}) {
-          for (bool fusion : {true, false}) {
-            ExecOptions opts;
-            opts.batch_size = bs;
-            opts.num_threads = threads;
-            opts.enable_fusion = fusion;
-            const std::string config = label + " bs=" + std::to_string(bs) +
-                                       " threads=" + std::to_string(threads) +
-                                       " fusion=" + std::to_string(fusion);
-            auto got = RunPlan(plan, opts);
-            ASSERT_TRUE(got.ok()) << config << ": " << got.status().ToString();
-            std::vector<std::string> got_s = Strings(got.value());
-            if (threads == 1) {
-              ASSERT_EQ(got_s, want_s) << config;
-            } else {
-              std::sort(got_s.begin(), got_s.end());
-              ASSERT_EQ(got_s, want_sorted) << config;
-            }
+          ExecOptions opts;
+          opts.batch_size = bs;
+          opts.num_threads = threads;
+          const std::string config = label + " bs=" + std::to_string(bs) +
+                                     " threads=" + std::to_string(threads);
+          auto got = RunPlan(plan, opts);
+          ASSERT_TRUE(got.ok()) << config << ": " << got.status().ToString();
+          std::vector<std::string> got_s = Strings(got.value());
+          if (threads == 1) {
+            ASSERT_EQ(got_s, want_s) << config;
+          } else {
+            std::sort(got_s.begin(), got_s.end());
+            ASSERT_EQ(got_s, want_sorted) << config;
           }
         }
       }
@@ -471,19 +470,15 @@ TEST_F(RowNativeParityTest, DiskTablePagedLeafMatchesSerialAtFourThreads) {
       // kAuto sends the key-range conditions to the B-tree (a serial index
       // leaf); kForceHeap keeps every condition on page-run morsels.
       for (AccessPath path : {AccessPath::kAuto, AccessPath::kForceHeap}) {
-        for (bool fusion : {true, false}) {
-          ExecOptions opts;
-          opts.num_threads = 4;
-          opts.enable_fusion = fusion;
-          opts.access_path = path;
-          auto par = RunPlan(plan, opts);
-          ASSERT_TRUE(par.ok()) << label << ": " << par.status().ToString();
-          std::vector<std::string> par_s = Strings(par.value());
-          std::sort(par_s.begin(), par_s.end());
-          EXPECT_EQ(par_s, serial_s)
-              << label << " fusion=" << fusion
-              << " path=" << static_cast<int>(path);
-        }
+        ExecOptions opts;
+        opts.num_threads = 4;
+        opts.access_path = path;
+        auto par = RunPlan(plan, opts);
+        ASSERT_TRUE(par.ok()) << label << ": " << par.status().ToString();
+        std::vector<std::string> par_s = Strings(par.value());
+        std::sort(par_s.begin(), par_s.end());
+        EXPECT_EQ(par_s, serial_s)
+            << label << " path=" << static_cast<int>(path);
       }
     }
   }
@@ -491,6 +486,52 @@ TEST_F(RowNativeParityTest, DiskTablePagedLeafMatchesSerialAtFourThreads) {
   table.reset();
   std::error_code ec;
   std::filesystem::remove_all(dir, ec);
+}
+
+// ------------------------- scan range pairing -----------------------------
+
+ScanPredicate Bound(ScanPredicate::Kind kind, int column, Value lit) {
+  ScanPredicate p;
+  p.kind = kind;
+  p.column = column;
+  p.literal = std::move(lit);
+  return p;
+}
+
+TEST(ScanRangeTest, FuseScanRangesPairsBounds) {
+  ScanPredicateList preds;
+  preds.push_back(
+      Bound(ScanPredicate::Kind::kGreaterThanOrEqual, 0, Value::Int(10)));
+  preds.push_back(Bound(ScanPredicate::Kind::kEquals, 2, Value::Int(1)));
+  preds.push_back(Bound(ScanPredicate::Kind::kLessThan, 0, Value::Int(20)));
+  preds.push_back(
+      Bound(ScanPredicate::Kind::kGreaterThan, 1, Value::Double(0.5)));
+
+  std::vector<FusedScanRange> ranges;
+  ScanPredicateList rest;
+  FuseScanRanges(std::move(preds), &ranges, &rest);
+
+  // $0's bounds pair across the unrelated equality; the equality and the
+  // partnerless $1 bound stay behind in order.
+  ASSERT_EQ(ranges.size(), 1u);
+  EXPECT_EQ(ranges[0].lower.column, 0);
+  EXPECT_EQ(ranges[0].lower.kind, ScanPredicate::Kind::kGreaterThanOrEqual);
+  EXPECT_EQ(ranges[0].upper.kind, ScanPredicate::Kind::kLessThan);
+  ASSERT_EQ(rest.size(), 2u);
+  EXPECT_EQ(rest[0].kind, ScanPredicate::Kind::kEquals);
+  EXPECT_EQ(rest[1].column, 1);
+
+  // NULL-literal bounds never fuse (a NULL comparison passes nothing, and
+  // the scalar NarrowByScanPredicate path owns that semantics).
+  ScanPredicateList with_null;
+  with_null.push_back(
+      Bound(ScanPredicate::Kind::kGreaterThanOrEqual, 0, Value::Null()));
+  with_null.push_back(Bound(ScanPredicate::Kind::kLessThan, 0, Value::Int(3)));
+  ranges.clear();
+  rest.clear();
+  FuseScanRanges(std::move(with_null), &ranges, &rest);
+  EXPECT_TRUE(ranges.empty());
+  EXPECT_EQ(rest.size(), 2u);
 }
 
 }  // namespace

@@ -10,9 +10,8 @@
 // batch sizes against hand-checked baselines, and unit packs cover the
 // arena allocator, the table column decomposition, leaf predicate pushdown
 // on raw columns, the row/column conversion boundary, and the ExecOptions
-// normalization clamps. A fusion axis runs SQL plans and leaf scans with
-// `enable_fusion` (the tree-fusing bytecode interpreter plus scan range
-// fusion, rex/rex_fuse.h) on and off, which must be invisible.
+// normalization clamps. Every pulled batch is checked against the
+// normalized batch size, including a batch_size past kMaxBatchSize.
 
 #include <gtest/gtest.h>
 
@@ -97,8 +96,9 @@ std::vector<std::string> Strings(const std::vector<Row>& rows) {
 }
 
 /// Evaluates `node` with the per-row oracle (the reference) and asserts the
-/// engine produces identical rows at several batch sizes, then that 4-way
-/// parallel execution, fused and unfused, produces the same multiset.
+/// engine produces identical rows at several batch sizes (one past
+/// kMaxBatchSize), then that 4-way parallel execution produces the same
+/// multiset.
 /// `unified_key`, when set, names an output group-key column in which an
 /// Int and a numerically equal Double share one group: the parallel legs
 /// compare it by numeric value, because which of the two cells a group
@@ -120,7 +120,8 @@ void ExpectColumnarParity(const RelNodePtr& node, const std::string& label,
     return out;
   };
 
-  for (size_t bs : {size_t{1}, size_t{3}, size_t{1023}, size_t{1024}}) {
+  for (size_t bs : {size_t{1}, size_t{3}, size_t{1023}, size_t{1024},
+                    4 * kMaxBatchSize}) {
     ExecOptions col_opts;
     col_opts.batch_size = bs;
     auto got = RunPlan(node, col_opts);
@@ -134,16 +135,12 @@ void ExpectColumnarParity(const RelNodePtr& node, const std::string& label,
   }
 
   const std::vector<std::string> want_sorted = parallel_strings(base.value());
-  for (bool fusion : {true, false}) {
-    ExecOptions par_opts;
-    par_opts.enable_fusion = fusion;
-    par_opts.num_threads = 4;
-    auto got = RunPlan(node, par_opts);
-    ASSERT_TRUE(got.ok()) << label << " threads=4 fusion=" << fusion << ": "
-                          << got.status().ToString();
-    ASSERT_EQ(parallel_strings(std::move(got).value()), want_sorted)
-        << label << " threads=4 fusion=" << fusion;
-  }
+  ExecOptions par_opts;
+  par_opts.num_threads = 4;
+  auto got = RunPlan(node, par_opts);
+  ASSERT_TRUE(got.ok()) << label << " threads=4: " << got.status().ToString();
+  ASSERT_EQ(parallel_strings(std::move(got).value()), want_sorted)
+      << label << " threads=4";
 }
 
 class ColumnarParityTest : public ::testing::Test {
@@ -527,6 +524,56 @@ TEST_F(ColumnarParityTest, HashJoinSkewedBuildKeySplitsOutput) {
   }
 }
 
+// A batch_size past kMaxBatchSize handed straight to ExecuteBatched (no
+// Connection in between to normalize it) still yields batches of at most
+// kMaxBatchSize rows from every serial operator, over an input larger than
+// kMaxBatchSize.
+TEST_F(ColumnarParityTest, OversizedBatchSizeClampsOnTheSerialPath) {
+  const size_t n = kMaxBatchSize + 5;
+  RelNodePtr scan = Scan(n);
+  const RelDataTypePtr& rt = scan->row_type();
+  // A residual (not pushed into the scan) that every row passes.
+  auto plus = rex_.MakeCall(OpKind::kPlus,
+                            {Field(rt, 0), rex_.MakeIntLiteral(1)});
+  ASSERT_TRUE(plus.ok());
+  auto residual = rex_.MakeCall(OpKind::kGreaterThan,
+                                {plus.value(), rex_.MakeIntLiteral(0)});
+  ASSERT_TRUE(residual.ok());
+  auto twice = rex_.MakeCall(OpKind::kTimes,
+                             {Field(rt, 0), rex_.MakeIntLiteral(2)});
+  ASSERT_TRUE(twice.ok());
+  std::vector<RexNodePtr> exprs = {twice.value(), Field(rt, 2)};
+  std::vector<AggregateCall> calls(1);
+  calls[0].kind = AggKind::kCountStar;
+  calls[0].name = "cnt";
+  const std::vector<std::pair<std::string, RelNodePtr>> plans = {
+      {"scan", scan},
+      {"filter", EnumerableFilter::Create(scan, residual.value())},
+      {"project",
+       EnumerableProject::Create(
+           scan, exprs, DeriveProjectRowType(exprs, {"id2", "s"}, tf_))},
+      {"aggregate",
+       EnumerableAggregate::Create(
+           scan, {0}, calls, DeriveAggregateRowType(rt, {0}, calls, tf_))},
+      {"sort", EnumerableSort::Create(
+                   scan, RelCollation({{0, Direction::kDescending}}), 0, -1)},
+      {"union", EnumerableSetOp::Create({scan, scan}, SetOp::Kind::kUnion,
+                                        true, rt)},
+      {"values", EnumerableValues::Create(rt, MakeRows(n))},
+  };
+  for (const auto& [name, plan] : plans) {
+    auto want = testing::OracleRows(plan);
+    ASSERT_TRUE(want.ok()) << name << ": " << want.status().ToString();
+    ASSERT_GT(want.value().size(), kMaxBatchSize) << name;
+    ExecOptions opts;
+    opts.batch_size = 4 * kMaxBatchSize;
+    ASSERT_EQ(opts.Normalized().batch_size, kMaxBatchSize);
+    auto got = RunPlan(plan, opts);  // checks every batch's size
+    ASSERT_TRUE(got.ok()) << name << ": " << got.status().ToString();
+    EXPECT_EQ(Strings(got.value()), Strings(want.value())) << name;
+  }
+}
+
 TEST_F(ColumnarParityTest, PipelineScanFilterProjectAggregate) {
   // The full converted pipeline in one plan, the hot-path shape the
   // benchmark sweeps measure.
@@ -853,7 +900,7 @@ TEST(ExecOptionsTest, NormalizedClampsBothKnobs) {
 // fully ordered (ORDER BY over a unique prefix, or a single aggregate
 // row), so even parallel grids compare byte-identically.
 
-TEST_F(ColumnBatchTest, ScanRangeFusionMatchesUnfused) {
+TEST_F(ColumnBatchTest, ScanRangeFusionMatchesRowPredicates) {
   auto row_type = TestRowType(tf_);
   std::vector<Row> rows = MakeRows(2050);
   auto cols = TableColumns::Build(rows, *row_type);
@@ -893,22 +940,20 @@ TEST_F(ColumnBatchTest, ScanRangeFusionMatchesUnfused) {
   ASSERT_FALSE(want.empty());
 
   for (size_t bs : {size_t{1}, size_t{7}, size_t{1024}}) {
-    for (bool fuse : {true, false}) {
-      auto pull = ScanTableColumns(cols, bs, preds, cols, fuse);
-      std::vector<Row> got;
-      for (;;) {
-        auto batch = pull();
-        ASSERT_TRUE(batch.ok());
-        if (batch.value().AtEnd()) break;
-        RowBatch boxed;
-        ColumnsToRows(batch.value(), &boxed);
-        for (Row& row : boxed) got.push_back(std::move(row));
-      }
-      ASSERT_EQ(got.size(), want.size()) << "bs=" << bs << " fuse=" << fuse;
-      for (size_t i = 0; i < got.size(); ++i) {
-        ASSERT_EQ(RowToString(got[i]), RowToString(want[i]))
-            << "bs=" << bs << " fuse=" << fuse << " row " << i;
-      }
+    auto pull = ScanTableColumns(cols, bs, preds, cols);
+    std::vector<Row> got;
+    for (;;) {
+      auto batch = pull();
+      ASSERT_TRUE(batch.ok());
+      if (batch.value().AtEnd()) break;
+      RowBatch boxed;
+      ColumnsToRows(batch.value(), &boxed);
+      for (Row& row : boxed) got.push_back(std::move(row));
+    }
+    ASSERT_EQ(got.size(), want.size()) << "bs=" << bs;
+    for (size_t i = 0; i < got.size(); ++i) {
+      ASSERT_EQ(RowToString(got[i]), RowToString(want[i]))
+          << "bs=" << bs << " row " << i;
     }
   }
 }
@@ -927,6 +972,22 @@ TEST(ColumnarSqlTest, QueriesMatchAcrossBatchSizesAndThreads) {
       "ORDER BY deptno",
       "SELECT COUNT(*) AS c, SUM(units) AS s, AVG(discount) AS a FROM sales",
       "SELECT empid FROM emps ORDER BY salary DESC LIMIT 2 OFFSET 1",
+      // Arithmetic chains, range-pair WHERE clauses (one interval test in
+      // the leaf scan), literal division and a per-row fallback operator.
+      "SELECT saleid, (units + saleid) * 2 AS m FROM sales "
+      "WHERE (units + saleid) * 2 > 8 ORDER BY saleid",
+      "SELECT saleid FROM sales WHERE saleid >= 2 AND saleid < 5 "
+      "ORDER BY saleid",
+      "SELECT saleid, units FROM sales "
+      "WHERE units > 1 AND discount < 0.3 AND discount IS NOT NULL "
+      "ORDER BY saleid",
+      "SELECT saleid, units / 2 AS h, units * 1.5 AS w FROM sales "
+      "ORDER BY saleid",
+      "SELECT empid, salary FROM emps "
+      "WHERE salary >= 7000.0 AND salary < 11500.0 ORDER BY empid",
+      "SELECT deptno, COUNT(*) AS c, SUM(salary + 1) AS s FROM emps "
+      "WHERE empid >= 100 AND empid < 240 GROUP BY deptno ORDER BY deptno",
+      "SELECT name FROM products WHERE UPPER(name) LIKE 'P%' ORDER BY name",
   };
   std::vector<std::string> baseline;
   {
@@ -1006,64 +1067,6 @@ TEST(ColumnarSqlTest, QueriesMatchWithSimdOnAndOff) {
           << queries[q] << ": " << result.status().ToString();
       EXPECT_EQ(result.value().ToTable(), baseline[q])
           << queries[q] << " simd=" << cfg.simd << " threads=" << cfg.threads;
-    }
-  }
-}
-
-// The tree-fusing bytecode interpreter (rex/rex_fuse.h) must likewise be
-// invisible at the SQL level: whole optimized plans — serial and
-// morsel-parallel — produce identical grids with `enable_fusion` on (the
-// default: fused expression pipelines plus scan range fusion) and off (the
-// per-node kernel path everywhere). The queries mix fusible arithmetic
-// chains, range-pair WHERE clauses that exercise scan range fusion, NULL
-// three-valued logic, literal division, and operators outside the fused set
-// so the whole-tree fallback runs inside real plans.
-TEST(ColumnarSqlTest, QueriesMatchWithFusionOnAndOff) {
-  const std::vector<std::string> queries = {
-      "SELECT saleid, (units + saleid) * 2 AS m FROM sales "
-      "WHERE (units + saleid) * 2 > 8 ORDER BY saleid",
-      "SELECT saleid FROM sales WHERE saleid >= 2 AND saleid < 5 "
-      "ORDER BY saleid",
-      "SELECT saleid, units FROM sales "
-      "WHERE units > 1 AND discount < 0.3 AND discount IS NOT NULL "
-      "ORDER BY saleid",
-      "SELECT saleid, units / 2 AS h, units * 1.5 AS w FROM sales "
-      "ORDER BY saleid",
-      "SELECT empid, salary FROM emps "
-      "WHERE salary >= 7000.0 AND salary < 11500.0 ORDER BY empid",
-      "SELECT deptno, COUNT(*) AS c, SUM(salary + 1) AS s FROM emps "
-      "WHERE empid >= 100 AND empid < 240 GROUP BY deptno ORDER BY deptno",
-      "SELECT name FROM products WHERE UPPER(name) LIKE 'P%' ORDER BY name",
-  };
-  std::vector<std::string> baseline;
-  {
-    Connection::Config config;
-    config.schema = testing::MakeTestSchema();
-    config.exec_options.enable_fusion = false;
-    Connection conn(std::move(config));
-    for (const std::string& sql : queries) {
-      auto result = conn.Query(sql);
-      ASSERT_TRUE(result.ok()) << sql << ": " << result.status().ToString();
-      baseline.push_back(result.value().ToTable());
-    }
-  }
-  struct Config {
-    bool fusion;
-    size_t threads;
-  };
-  for (Config cfg : {Config{true, 1}, Config{true, 4}, Config{false, 4}}) {
-    Connection::Config config;
-    config.schema = testing::MakeTestSchema();
-    config.exec_options.enable_fusion = cfg.fusion;
-    config.exec_options.num_threads = cfg.threads;
-    Connection conn(std::move(config));
-    for (size_t q = 0; q < queries.size(); ++q) {
-      auto result = conn.Query(queries[q]);
-      ASSERT_TRUE(result.ok())
-          << queries[q] << ": " << result.status().ToString();
-      EXPECT_EQ(result.value().ToTable(), baseline[q])
-          << queries[q] << " fusion=" << cfg.fusion
-          << " threads=" << cfg.threads;
     }
   }
 }

@@ -1,11 +1,10 @@
-// Randomized differential tests of the columnar expression engines — the
-// per-node kernels (RexColumnar::AppendEvalColumn / NarrowSelection) and
-// the tree-fusing bytecode interpreter (rex/rex_fuse.h) — against the
-// per-row tree interpreter (RexInterpreter::Eval, the oracle): a small
-// seeded random generator builds typed expression trees — arithmetic,
-// comparison, logic, casts over columns with ~20% NULLs — and every tree
-// is a three-way differential, fused-vs-per-node-vs-per-row, under both
-// SIMD dispatch modes, across batch sizes {1, 1023, 1024, 1025} and
+// Randomized differential tests of the columnar expression evaluator — the
+// per-node kernels (RexColumnar::AppendEvalColumn / NarrowSelection) —
+// against the per-row tree interpreter (RexInterpreter::Eval, the oracle):
+// a small seeded random generator builds typed expression trees —
+// arithmetic, comparison, logic, casts over columns with ~20% NULLs — and
+// every tree is a per-node-vs-per-row differential under both SIMD
+// dispatch modes, across batch sizes {1, 1023, 1024, 1025} and
 // selection vectors of every shape (absent, empty, singleton, dense,
 // sparse). The columns are the typed decomposition of the same rows
 // (RowsToColumns), so typed fast paths and the boxed fallback are both
@@ -16,9 +15,9 @@
 // The generator is error-free by construction (division and modulo only
 // ever take a non-zero literal divisor, casts never parse arbitrary
 // strings), so a Status failure from either engine is itself a bug. It
-// also deliberately mixes fusible and unfusible operators (ABS, UPPER,
-// string compares) so the fused path's whole-tree fallback is fuzzed as
-// hard as its bytecode programs.
+// also deliberately mixes operators with typed kernels and operators
+// without (ABS, UPPER, string compares), so the per-row fallback inside a
+// columnar tree is fuzzed as hard as the kernels.
 //
 // REX_FUZZ_ITERS=<k> multiplies every iteration count by k — the dedicated
 // CI fuzz step runs with a raised count; the default keeps local runs fast.
@@ -37,7 +36,6 @@
 #include "exec/simd.h"
 #include "rex/rex_builder.h"
 #include "rex/rex_columnar.h"
-#include "rex/rex_fuse.h"
 #include "rex/rex_interpreter.h"
 #include "type/rel_data_type.h"
 #include "type/value.h"
@@ -150,10 +148,10 @@ class RexKernelFuzzTest : public ::testing::Test {
                                   {GenNumeric(rng, depth - 1)});
         return call.ok() ? call.value() : NumLeaf(rng);
       }
-      case 4:  // single-step cast (fused when the operand is a leaf)
+      case 4:  // numeric cast (typed kernel)
         return rex_.MakeCast(Pick(rng, 2) == 0 ? int_null_ : dbl_null_,
                              GenNumeric(rng, depth - 1));
-      case 5: {  // ABS — deliberately outside the fused set (fallback path)
+      case 5: {  // ABS — no typed kernel (per-row fallback)
         auto call = rex_.MakeCall(OpKind::kAbs, {GenNumeric(rng, depth - 1)});
         return call.ok() ? call.value() : NumLeaf(rng);
       }
@@ -171,7 +169,7 @@ class RexKernelFuzzTest : public ::testing::Test {
   RexNodePtr GenString(std::mt19937* rng, int depth) {
     if (depth <= 0) return StrLeaf(rng);
     switch (Pick(rng, 4)) {
-      case 0:  // numeric -> VARCHAR cast (fused single-step over leaves)
+      case 0:  // numeric -> VARCHAR cast (per-row fallback)
         return rex_.MakeCast(str_null_, GenNumeric(rng, depth - 1));
       case 1: {  // UPPER — fallback path
         auto call = rex_.MakeCall(OpKind::kUpper, {GenString(rng, depth - 1)});
@@ -305,21 +303,6 @@ class RexKernelFuzzTest : public ::testing::Test {
       ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
       ASSERT_EQ(out.cols.size(), 1u) << label;
     }
-    // Third engine: the tree-fusing bytecode interpreter (which falls back
-    // to the per-node path for unfusible trees — the differential holds
-    // either way), again under both dispatch modes.
-    ColumnBatch fused_scalar, fused_simd;
-    for (bool enable_simd : {false, true}) {
-      simd::ScopedDispatch dispatch(enable_simd);
-      ColumnBatch& out = enable_simd ? fused_simd : fused_scalar;
-      out.arena = std::make_shared<Arena>();
-      out.ShareStorage(in);
-      out.num_rows = in.ActiveCount();
-      FusedExpr fused(expr);
-      Status status = fused.AppendEvalColumn(in, &out);
-      ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-      ASSERT_EQ(out.cols.size(), 1u) << label;
-    }
     const size_t n = in.ActiveCount();
     for (size_t k = 0; k < n; ++k) {
       const Row& row = rows[in.ActiveIndex(k)];
@@ -331,14 +314,6 @@ class RexKernelFuzzTest : public ::testing::Test {
       ASSERT_EQ(out_simd.cols[0].GetValue(k).ToString(),
                 out_scalar.cols[0].GetValue(k).ToString())
           << label << " simd-vs-scalar row " << k << " expr "
-          << expr->ToString();
-      ASSERT_EQ(fused_scalar.cols[0].GetValue(k).ToString(),
-                out_scalar.cols[0].GetValue(k).ToString())
-          << label << " fused-vs-per-node row " << k << " expr "
-          << expr->ToString();
-      ASSERT_EQ(fused_simd.cols[0].GetValue(k).ToString(),
-                out_scalar.cols[0].GetValue(k).ToString())
-          << label << " fused-simd-vs-per-node row " << k << " expr "
           << expr->ToString();
     }
   }
@@ -359,17 +334,6 @@ class RexKernelFuzzTest : public ::testing::Test {
           RexColumnar::NarrowSelection(pred, base, scratch, &got);
       ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
     }
-    // Fused leg of the differential (falls back per the whole-tree rule).
-    SelectionVector fused_scalar, fused_simd;
-    for (bool enable_simd : {false, true}) {
-      simd::ScopedDispatch dispatch(enable_simd);
-      SelectionVector& got = enable_simd ? fused_simd : fused_scalar;
-      got = candidates;
-      ArenaPtr scratch = std::make_shared<Arena>();
-      FusedExpr fused(pred);
-      Status status = fused.NarrowSelection(base, scratch, &got);
-      ASSERT_TRUE(status.ok()) << label << ": " << status.ToString();
-    }
     SelectionVector want;
     for (uint32_t idx : candidates) {
       auto pass = RexInterpreter::EvalPredicate(pred, rows[idx]);
@@ -379,10 +343,6 @@ class RexKernelFuzzTest : public ::testing::Test {
     ASSERT_EQ(got_scalar, want) << label << " pred " << pred->ToString();
     ASSERT_EQ(got_simd, want)
         << label << " simd-vs-scalar pred " << pred->ToString();
-    ASSERT_EQ(fused_scalar, want)
-        << label << " fused pred " << pred->ToString();
-    ASSERT_EQ(fused_simd, want)
-        << label << " fused-simd pred " << pred->ToString();
   }
 
   TypeFactory tf_;
@@ -393,8 +353,7 @@ class RexKernelFuzzTest : public ::testing::Test {
 
 TEST_F(RexKernelFuzzTest, ColumnarEvalMatchesPerRowOracle) {
   std::mt19937 rng(20260807);
-  // 1025 straddles the fused interpreter's block size (kFuseBlockRows =
-  // 1024): a full block plus a 1-row tail.
+  // 1025 straddles the default batch size: a full batch plus a 1-row tail.
   for (size_t n : {size_t{1}, size_t{1023}, size_t{1024}, size_t{1025}}) {
     RowBatch batch = MakeBatch(n, &rng);
     ColumnBatch cols = ToColumns(batch);
@@ -477,17 +436,17 @@ TEST_F(RexKernelFuzzTest, SimdTailAndAlignmentShapes) {
 
 // --------------------- ternary NULL semantics pack --------------------------
 //
-// Directed regressions for the three-valued-logic corners the fused kernels
-// must preserve; the per-row interpreter is the oracle, and the expected
-// truth-table entries are asserted explicitly so an oracle bug cannot hide
-// a kernel bug.
+// Directed regressions for the three-valued-logic corners the columnar
+// kernels must preserve; the per-row interpreter is the oracle, and the
+// expected truth-table entries are asserted explicitly so an oracle bug
+// cannot hide a kernel bug.
 
 class TernaryNullTest : public RexKernelFuzzTest {
  protected:
-  /// Evaluates `expr` over a one-row batch through the columnar engines
-  /// (fused and per-node, via CheckColumnarEval, which also diffs them
-  /// against the per-row oracle) and checks the expected value. The
-  /// batch's column types are those of the input refs in `expr`.
+  /// Evaluates `expr` over a one-row batch through RexColumnar (via
+  /// CheckColumnarEval, which also diffs it against the per-row oracle
+  /// under both dispatch modes) and checks the expected value. The batch's
+  /// column types are those of the input refs in `expr`.
   void ExpectTernary(const RexNodePtr& expr, const Row& row,
                      const Value& expected) {
     RowBatch batch = {row};
@@ -497,8 +456,8 @@ class TernaryNullTest : public RexKernelFuzzTest {
     out.arena = std::make_shared<Arena>();
     out.ShareStorage(cols);
     out.num_rows = 1;
-    FusedExpr fused(expr);
-    ASSERT_TRUE(fused.AppendEvalColumn(cols, &out).ok()) << expr->ToString();
+    ASSERT_TRUE(RexColumnar::AppendEvalColumn(expr, cols, &out).ok())
+        << expr->ToString();
     EXPECT_EQ(out.cols[0].GetValue(0).ToString(), expected.ToString())
         << expr->ToString();
   }
@@ -557,7 +516,7 @@ TEST_F(TernaryNullTest, AndOrShortCircuitWithNull) {
 }
 
 TEST_F(TernaryNullTest, ComparisonsWithNullYieldNull) {
-  // Nullable column against literal, both orders, via the fused kernel.
+  // Nullable column against literal, both orders, via the typed kernels.
   Row null_row = {Value::Int(0), Value::Null()};
   Row live_row = {Value::Int(0), Value::Int(5)};
   RexNodePtr col = rex_.MakeInputRef(1, int_null_);
@@ -611,12 +570,13 @@ TEST_F(TernaryNullTest, FilterTreatsUnknownAsNotPassing) {
                          {rex_.MakeInputRef(1, int_null_),
                           rex_.MakeIntLiteral(2)});
   ColumnBatch cols = ColumnsTypedBy(pred, batch);
-  for (bool fuse : {false, true}) {
+  for (bool enable_simd : {false, true}) {
+    simd::ScopedDispatch dispatch(enable_simd);
     SelectionVector sel = {0, 1, 2};
-    FusedExpr narrow(pred, fuse);
-    ASSERT_TRUE(
-        narrow.NarrowSelection(cols, std::make_shared<Arena>(), &sel).ok());
-    EXPECT_EQ(sel, SelectionVector({2})) << "fuse=" << fuse;
+    ASSERT_TRUE(RexColumnar::NarrowSelection(pred, cols,
+                                             std::make_shared<Arena>(), &sel)
+                    .ok());
+    EXPECT_EQ(sel, SelectionVector({2})) << "simd=" << enable_simd;
   }
 }
 

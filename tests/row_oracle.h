@@ -1,6 +1,6 @@
 // A test-local, row-at-a-time reference evaluator for physical plans. The
-// engine evaluates expressions only over ColumnBatches (FusedExpr, then the
-// per-node RexColumnar kernels, then per-row Eval for what neither covers);
+// engine evaluates expressions only over ColumnBatches (the per-node
+// RexColumnar kernels, then per-row Eval for nodes they do not cover);
 // this oracle evaluates Filter, Project and Aggregate nodes itself, one row
 // at a time through RexInterpreter::Eval / EvalPredicate and AggAccumulator,
 // so the differential suites compare the columnar path against plain row

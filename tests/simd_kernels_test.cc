@@ -206,72 +206,6 @@ TEST(SimdKernelDiffTest, ArithmeticMatchesScalar) {
   }
 }
 
-TEST(SimdKernelDiffTest, ArithLitMatchesScalarAndBroadcast) {
-  for (size_t n : kSizes) {
-    auto ai = RandomSmallI64(n, 21);
-    auto af = RandomF64(n, 22);
-    for (Arith op : kAriths) {
-      for (int64_t lit : {int64_t{-7}, int64_t{0}, int64_t{3}}) {
-        std::vector<int64_t> so(n), co(n), bc(n);
-        {
-          ScopedDispatch on(true);
-          ArithI64Lit(op, ai.data(), lit, n, so.data());
-        }
-        {
-          ScopedDispatch off(false);
-          ArithI64Lit(op, ai.data(), lit, n, co.data());
-        }
-        ASSERT_EQ(so, co) << "n=" << n << " op=" << int(op) << " lit=" << lit;
-        // The literal is always the RIGHT operand (kSub is a[i] - lit):
-        // must equal the two-vector kernel against a broadcast array.
-        std::vector<int64_t> rhs(n, lit);
-        ScopedDispatch off(false);
-        ArithI64(op, ai.data(), rhs.data(), n, bc.data());
-        ASSERT_EQ(so, bc) << "n=" << n << " op=" << int(op) << " lit=" << lit;
-      }
-      const double nan = std::numeric_limits<double>::quiet_NaN();
-      for (double lit : {-0.5, 0.0, nan}) {
-        std::vector<double> so(n), co(n);
-        {
-          ScopedDispatch on(true);
-          ArithF64Lit(op, af.data(), lit, n, so.data());
-        }
-        {
-          ScopedDispatch off(false);
-          ArithF64Lit(op, af.data(), lit, n, co.data());
-        }
-        if (n != 0) {
-          ASSERT_EQ(0, std::memcmp(so.data(), co.data(), n * sizeof(double)))
-              << "n=" << n << " op=" << int(op) << " lit=" << lit;
-        }
-      }
-    }
-  }
-}
-
-TEST(SimdKernelDiffTest, AndMasksMatchesScalar) {
-  for (size_t n : kSizes) {
-    for (uint32_t density : {0u, 20u, 50u, 100u}) {
-      // Non-canonical set bytes on both inputs: only zero/nonzero matters.
-      auto a = RandomMask(n, 23 + density, density);
-      auto b = RandomMask(n, 24 + density, 100 - density);
-      std::vector<uint8_t> so(n, 0xee), co(n, 0xdd);
-      {
-        ScopedDispatch on(true);
-        AndMasks(a.data(), b.data(), n, so.data());
-      }
-      {
-        ScopedDispatch off(false);
-        AndMasks(a.data(), b.data(), n, co.data());
-      }
-      ASSERT_EQ(so, co) << "n=" << n << " density=" << density;
-      for (size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(so[i], (a[i] != 0 && b[i] != 0) ? 1 : 0) << "i=" << i;
-      }
-    }
-  }
-}
-
 TEST(SimdKernelDiffTest, InRangeI64MatchesScalarAndComposedCompares) {
   for (size_t n : kSizes) {
     auto v = RandomI64(n, 25);
@@ -296,7 +230,7 @@ TEST(SimdKernelDiffTest, InRangeI64MatchesScalarAndComposedCompares) {
                   lom.data());
         CmpI64Lit(hi_strict ? Cmp::kLt : Cmp::kLe, v.data(), hi, n,
                   him.data());
-        AndMasks(lom.data(), him.data(), n, both.data());
+        for (size_t i = 0; i < n; ++i) both[i] = lom[i] && him[i] ? 1 : 0;
         ASSERT_EQ(so, both) << "n=" << n << " strict=" << lo_strict << ","
                             << hi_strict;
         for (uint8_t x : so) ASSERT_LE(x, 1);
@@ -331,7 +265,7 @@ TEST(SimdKernelDiffTest, InRangeF64MatchesScalarIncludingNaN) {
                   lom.data());
         CmpF64Lit(hi_strict ? Cmp::kLt : Cmp::kLe, v.data(), hi, n,
                   him.data());
-        AndMasks(lom.data(), him.data(), n, both.data());
+        for (size_t i = 0; i < n; ++i) both[i] = lom[i] && him[i] ? 1 : 0;
         ASSERT_EQ(so, both) << "n=" << n << " strict=" << lo_strict << ","
                             << hi_strict;
         for (size_t i = 0; i < n; ++i) {

@@ -413,9 +413,8 @@ TEST(TableStatsProviderTest, SelectivityFromHistograms) {
   EXPECT_LT(sel, 0.04);
 
   // BETWEEN is scored as its two pushed bounds, from the histogram, not as
-  // the fixed BETWEEN guess. The bounds multiply as if independent
-  // (0.8 * 0.3), like any same-column range conjunction, rather than
-  // giving the true 0.1.
+  // the fixed BETWEEN guess. Same-column bounds score as one interval
+  // (0.8 + 0.3 - 1), the true 0.1, not as independent factors (0.8 * 0.3).
   auto between = b.MakeCall(
       OpKind::kBetween, {b.MakeInputRef(row_type, 1), b.MakeDoubleLiteral(20.0),
                          b.MakeDoubleLiteral(30.0)});
@@ -428,7 +427,31 @@ TEST(TableStatsProviderTest, SelectivityFromHistograms) {
   ASSERT_OK(le.status());
   EXPECT_DOUBLE_EQ(mq.Selectivity(scan, *between),
                    mq.Selectivity(scan, b.MakeAnd({*ge, *le})));
-  EXPECT_NEAR(mq.Selectivity(scan, *between), 0.8 * 0.3, 0.03);
+  EXPECT_NEAR(mq.Selectivity(scan, *between), 0.1, 0.03);
+
+  // A mid-table key range, 0.25% of the rows, as `>= AND <` and as BETWEEN:
+  // each bound alone passes about half the table, but the interval is
+  // narrow.
+  auto key = b.MakeInputRef(row_type, 0);
+  auto key_ge = b.MakeCall(OpKind::kGreaterThanOrEqual,
+                           {key, b.MakeIntLiteral(5000)});
+  auto key_lt2 = b.MakeCall(OpKind::kLessThan, {key, b.MakeIntLiteral(5025)});
+  auto key_between = b.MakeCall(
+      OpKind::kBetween, {key, b.MakeIntLiteral(5000), b.MakeIntLiteral(5024)});
+  ASSERT_OK(key_ge.status());
+  ASSERT_OK(key_lt2.status());
+  ASSERT_OK(key_between.status());
+  EXPECT_NEAR(mq.Selectivity(scan, b.MakeAnd({*key_ge, *key_lt2})), 0.0025,
+              0.002);
+  EXPECT_NEAR(mq.Selectivity(scan, *key_between), 0.0025, 0.002);
+  // Bounds that cross score zero rows, not a product of two halves.
+  auto key_gt_hi = b.MakeCall(OpKind::kGreaterThan,
+                              {key, b.MakeIntLiteral(6000)});
+  auto key_lt_lo = b.MakeCall(OpKind::kLessThan, {key, b.MakeIntLiteral(4000)});
+  ASSERT_OK(key_gt_hi.status());
+  ASSERT_OK(key_lt_lo.status());
+  EXPECT_DOUBLE_EQ(mq.Selectivity(scan, b.MakeAnd({*key_gt_hi, *key_lt_lo})),
+                   0.0);
 
   // The same scan shape without stats falls back to the fixed guesses.
   auto bare = std::make_shared<MemTable>(StatsRowType(tf), std::vector<Row>{});
