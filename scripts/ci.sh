@@ -18,6 +18,9 @@
 #                                 # old-toolchain hosts) still passes the
 #                                 # differential fuzz and parity suites
 set -euo pipefail
+# Every build job compiles warning-free under GCC 12 (-Wall -Wextra, see
+# CMakeLists.txt); -Werror keeps a new warning from landing unnoticed.
+WERROR=(-DCMAKE_CXX_FLAGS=-Werror)
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
@@ -27,7 +30,7 @@ JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 if [[ "$SANITIZER" == "scalar" ]]; then
   echo "=== configure (CALCITE_SIMD=OFF) ==="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCALCITE_SIMD=OFF
+    -DCALCITE_SIMD=OFF "${WERROR[@]}"
 
   echo "=== build ==="
   cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -48,7 +51,7 @@ fi
 if [[ -n "$SANITIZER" ]]; then
   echo "=== configure ($SANITIZER sanitizer) ==="
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-    -DCALCITE_SANITIZE="$SANITIZER"
+    -DCALCITE_SANITIZE="$SANITIZER" "${WERROR[@]}"
 
   echo "=== build ==="
   cmake --build "$BUILD_DIR" -j "$JOBS"
@@ -117,7 +120,7 @@ if [[ -n "$SANITIZER" ]]; then
 fi
 
 echo "=== configure ==="
-cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "${WERROR[@]}"
 
 echo "=== build ==="
 cmake --build "$BUILD_DIR" -j "$JOBS"

@@ -379,6 +379,23 @@ RelNodePtr EnumerableHashJoin::Copy(RelTraitSet traits,
                                            join_type_));
 }
 
+double EnumerableHashJoin::BuildBytes(MetadataQuery* mq,
+                                      const RelNodePtr& input) {
+  return mq->RowCount(input) * mq->AverageRowSize(input);
+}
+
+std::optional<RelOptCost> EnumerableHashJoin::SelfCost(
+    MetadataQuery* mq) const {
+  // One unit per build row to hash and insert it, plus one per cache line
+  // of the row it copies.
+  constexpr double kCacheLineBytes = 64;
+  const double probe = mq->RowCount(input(0));
+  const double build = mq->RowCount(input(1));
+  const double cpu = probe + build + BuildBytes(mq, input(1)) / kCacheLineBytes;
+  return RelOptCost(mq->RowCount(shared_from_this()), cpu, 0) *
+         convention()->cost_factor();
+}
+
 Result<std::vector<Row>> EnumerableHashJoin::Execute() const {
   return DrainNode(*this);
 }

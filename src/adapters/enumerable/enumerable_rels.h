@@ -100,6 +100,16 @@ class EnumerableHashJoin final : public Join {
   Result<RowBatchPuller> ExecuteBatched(const ExecOptions& opts)
       const override;
 
+  /// The right input is boxed into the hash table row by row; the left
+  /// one streams through as columns. So build rows pay per byte of width
+  /// (BuildBytes) and probe rows pay one unit each.
+  std::optional<RelOptCost> SelfCost(MetadataQuery* mq) const override;
+
+  /// Bytes `input` would occupy as a hash join's build side: estimated
+  /// rows times average row width. The join rule builds on the input with
+  /// fewer.
+  static double BuildBytes(MetadataQuery* mq, const RelNodePtr& input);
+
  private:
   using Join::Join;
 };

@@ -2,6 +2,7 @@
 
 #include "adapters/enumerable/enumerable_rels.h"
 #include "rel/core.h"
+#include "rules/core_rules.h"
 
 namespace calcite {
 
@@ -78,6 +79,18 @@ class EnumerableProjectRule final : public ConverterRule {
   }
 };
 
+/// True when `join`'s left input is the cheaper hash-join build side.
+/// SEMI and ANTI joins emit only their left input, so they keep their
+/// order.
+bool BuildOnLeft(const Join& join, MetadataQuery* mq) {
+  if (join.join_type() == JoinType::kSemi ||
+      join.join_type() == JoinType::kAnti) {
+    return false;
+  }
+  return EnumerableHashJoin::BuildBytes(mq, join.input(0)) <
+         EnumerableHashJoin::BuildBytes(mq, join.input(1));
+}
+
 class EnumerableJoinRule final : public ConverterRule {
  public:
   EnumerableJoinRule()
@@ -97,8 +110,20 @@ class EnumerableJoinRule final : public ConverterRule {
     std::vector<std::pair<int, int>> keys;
     std::vector<RexNodePtr> remaining;
     if (join.AnalyzeEquiKeys(&keys, &remaining)) {
-      call->TransformTo(EnumerableHashJoin::Create(
-          left, right, join.condition(), join.join_type(), join.row_type()));
+      // The hash table holds the right input, so build on the smaller
+      // side: one alternative, not both orders, keeps the memo small.
+      if (BuildOnLeft(join, call->metadata())) {
+        SwappedJoin swap = SwapJoin(join, call->rex_builder());
+        RelNodePtr hash = EnumerableHashJoin::Create(
+            right, left, std::move(swap.condition), swap.join_type,
+            std::move(swap.row_type));
+        call->TransformTo(EnumerableProject::Create(
+            std::move(hash), std::move(swap.restore), join.row_type()));
+      } else {
+        call->TransformTo(EnumerableHashJoin::Create(
+            left, right, join.condition(), join.join_type(),
+            join.row_type()));
+      }
     }
     // The nested-loop alternative is always legal; the cost model discards
     // it when a hash join is available and cheaper.

@@ -54,10 +54,6 @@ const Convention* JdbcConvention(const std::string& engine_name) {
   return convention;
 }
 
-bool SameJdbcConvention(const RelNode& node, const Convention* convention) {
-  return node.convention() == convention;
-}
-
 class JdbcTableScanRule final : public ConverterRule {
  public:
   JdbcTableScanRule(RemoteSqlEnginePtr engine, const Convention* convention)

@@ -248,6 +248,7 @@ void ArithI64(Arith op, const int64_t* a, const int64_t* b, size_t n,
         r = _mm256_sub_epi64(va, vb);
         break;
       case Arith::kMul:
+      default:  // kMul is the last Arith; no value leaves r unset
         r = Mul64(va, vb);
         break;
     }
@@ -271,6 +272,7 @@ void ArithF64(Arith op, const double* a, const double* b, size_t n,
         r = _mm256_sub_pd(va, vb);
         break;
       case Arith::kMul:
+      default:  // kMul is the last Arith; no value leaves r unset
         r = _mm256_mul_pd(va, vb);
         break;
     }

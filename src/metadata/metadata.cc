@@ -14,6 +14,13 @@ namespace {
 /// Fallback row count when a table provides no statistics.
 constexpr double kDefaultTableRows = 100.0;
 
+/// Cache key of a (node, column set) metadata question.
+std::string ColumnsKey(const RelNodePtr& node, const std::vector<int>& columns) {
+  std::string key = std::to_string(reinterpret_cast<uintptr_t>(node.get()));
+  for (int c : columns) key += "," + std::to_string(c);
+  return key;
+}
+
 }  // namespace
 
 MetadataQuery::MetadataQuery() {
@@ -36,6 +43,7 @@ void MetadataQuery::ClearCache() {
   selectivity_cache_.clear();
   unique_cache_.clear();
   row_size_cache_.clear();
+  distinct_cache_.clear();
 }
 
 double MetadataQuery::RowCount(const RelNodePtr& node) {
@@ -70,21 +78,10 @@ double MetadataQuery::ComputeRowCount(const RelNodePtr& node) {
   if (const auto* join = dynamic_cast<const Join*>(node.get())) {
     double left = RowCount(node->input(0));
     double right = RowCount(node->input(1));
-    double sel = Selectivity(node, join->condition());
     std::vector<std::pair<int, int>> keys;
     std::vector<RexNodePtr> remaining;
     if (join->AnalyzeEquiKeys(&keys, &remaining)) {
-      // Equi-join estimate: each left row matches right/ndv rows; with a
-      // unique right key this is a lookup join of size <= left.
-      std::vector<int> right_cols;
-      right_cols.reserve(keys.size());
-      for (const auto& [l, r] : keys) right_cols.push_back(r);
-      double base;
-      if (AreColumnsUnique(node->input(1), right_cols)) {
-        base = left;
-      } else {
-        base = left * right / std::max(1.0, std::sqrt(right));
-      }
+      double base = EquiJoinRowCount(*join, keys);
       double remaining_sel = 1.0;
       for (const RexNodePtr& pred : remaining) {
         remaining_sel *= Selectivity(node, pred);
@@ -104,7 +101,7 @@ double MetadataQuery::ComputeRowCount(const RelNodePtr& node) {
       }
       return std::max(1.0, rows);
     }
-    return std::max(1.0, left * right * sel);
+    return std::max(1.0, left * right * Selectivity(node, join->condition()));
   }
   if (const auto* agg = dynamic_cast<const Aggregate*>(node.get())) {
     if (agg->group_keys().empty()) return 1.0;
@@ -146,6 +143,33 @@ double MetadataQuery::ComputeRowCount(const RelNodePtr& node) {
   // Window, Delta, Converter: cardinality-preserving.
   if (node->num_inputs() == 1) return RowCount(node->input(0));
   return kDefaultTableRows;
+}
+
+double MetadataQuery::EquiJoinRowCount(
+    const Join& join, const std::vector<std::pair<int, int>>& keys) {
+  const RelNodePtr& left = join.input(0);
+  const RelNodePtr& right = join.input(1);
+  std::vector<int> left_cols;
+  std::vector<int> right_cols;
+  for (const auto& [l, r] : keys) {
+    left_cols.push_back(l);
+    right_cols.push_back(r);
+  }
+  const double left_rows = RowCount(left);
+  const double right_rows = RowCount(right);
+  // Each key value on the side with fewer distinct values meets
+  // rows/ndv rows of the other side. Without stats or a key, a side is
+  // guessed to have sqrt(rows) distinct values.
+  const double left_ndv = DistinctRowCount(left, left_cols)
+                              .value_or(std::sqrt(left_rows));
+  const double right_ndv = DistinctRowCount(right, right_cols)
+                               .value_or(std::sqrt(right_rows));
+  double rows = left_rows * right_rows / std::max({1.0, left_ndv, right_ndv});
+  // A unique key on one side makes the join a lookup: each row of the
+  // other side matches at most once.
+  if (AreColumnsUnique(left, left_cols)) rows = std::min(rows, right_rows);
+  if (AreColumnsUnique(right, right_cols)) rows = std::min(rows, left_rows);
+  return rows;
 }
 
 RelOptCost MetadataQuery::NonCumulativeCost(const RelNodePtr& node) {
@@ -314,8 +338,7 @@ bool MetadataQuery::AreColumnsUnique(const RelNodePtr& node,
                                      const std::vector<int>& columns) {
   std::string key;
   if (cache_enabled_) {
-    key = std::to_string(reinterpret_cast<uintptr_t>(node.get()));
-    for (int c : columns) key += "," + std::to_string(c);
+    key = ColumnsKey(node, columns);
     auto it = unique_cache_.find(key);
     if (it != unique_cache_.end()) return it->second;
   }
@@ -417,6 +440,78 @@ double MetadataQuery::ComputeAverageRowSize(const RelNodePtr& node) {
     }
   }
   return std::max(1.0, size);
+}
+
+std::optional<double> MetadataQuery::DistinctRowCount(
+    const RelNodePtr& node, const std::vector<int>& columns) {
+  std::string key;
+  if (cache_enabled_) {
+    key = ColumnsKey(node, columns);
+    auto it = distinct_cache_.find(key);
+    if (it != distinct_cache_.end()) return it->second;
+  }
+  std::optional<double> result = ComputeDistinctRowCount(node, columns);
+  if (cache_enabled_) distinct_cache_[key] = result;
+  return result;
+}
+
+std::optional<double> MetadataQuery::ComputeDistinctRowCount(
+    const RelNodePtr& node, const std::vector<int>& columns) {
+  ++computation_count_;
+  if (columns.empty()) return std::nullopt;
+  const double rows = RowCount(node);
+  if (AreColumnsUnique(node, columns)) return rows;
+  if (auto v = node->SelfDistinctRowCount(this, columns)) return *v;
+  // Operators that drop or reorder rows keep each column's values, so the
+  // count is the input's, capped by the rows that remain.
+  auto capped = [rows](std::optional<double> ndv) -> std::optional<double> {
+    if (!ndv.has_value()) return std::nullopt;
+    return std::max(1.0, std::min(*ndv, rows));
+  };
+  if (const auto* scan = dynamic_cast<const TableScan*>(node.get())) {
+    TableStats stats = scan->table()->GetStatistic();
+    if (!stats.analyzed()) return std::nullopt;
+    // Independent columns: the product of their counts.
+    double ndv = 1.0;
+    for (int c : columns) {
+      const ColumnStats* column = stats.column(c);
+      if (column == nullptr || column->ndv <= 0) return std::nullopt;
+      ndv *= column->ndv;
+    }
+    return capped(ndv);
+  }
+  if (dynamic_cast<const Filter*>(node.get()) != nullptr ||
+      dynamic_cast<const Sort*>(node.get()) != nullptr) {
+    return capped(DistinctRowCount(node->input(0), columns));
+  }
+  if (const auto* project = dynamic_cast<const Project*>(node.get())) {
+    std::vector<int> input_cols;
+    for (int c : columns) {
+      if (c < 0 || static_cast<size_t>(c) >= project->exprs().size()) {
+        return std::nullopt;
+      }
+      const RexInputRef* ref =
+          AsInputRef(project->exprs()[static_cast<size_t>(c)]);
+      if (ref == nullptr) return std::nullopt;
+      input_cols.push_back(ref->index());
+    }
+    return capped(DistinctRowCount(node->input(0), input_cols));
+  }
+  if (dynamic_cast<const Join*>(node.get()) != nullptr) {
+    // Columns from one input only; SEMI and ANTI joins emit only the left.
+    const int left_count = node->input(0)->row_type()->field_count();
+    std::vector<int> side_cols;
+    bool all_left = true;
+    bool all_right = true;
+    for (int c : columns) {
+      all_left = all_left && c < left_count;
+      all_right = all_right && c >= left_count;
+    }
+    if (!all_left && !all_right) return std::nullopt;
+    for (int c : columns) side_cols.push_back(all_left ? c : c - left_count);
+    return capped(DistinctRowCount(node->input(all_left ? 0 : 1), side_cols));
+  }
+  return std::nullopt;
 }
 
 }  // namespace calcite

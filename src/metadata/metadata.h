@@ -13,6 +13,7 @@
 
 namespace calcite {
 
+class Join;
 class MetadataQuery;
 
 /// A pluggable metadata provider (§6: "Calcite provides interfaces that
@@ -103,6 +104,13 @@ class MetadataQuery {
   /// Average output row width in bytes.
   double AverageRowSize(const RelNodePtr& node);
 
+  /// Estimated number of distinct non-NULL value combinations of `columns`
+  /// in `node`'s output (Calcite's getDistinctRowCount), or nullopt when
+  /// nothing is known: no unique key covers the columns and they do not
+  /// trace back to ANALYZEd table columns.
+  std::optional<double> DistinctRowCount(const RelNodePtr& node,
+                                         const std::vector<int>& columns);
+
   /// Number of underlying (uncached) metadata computations performed; used
   /// by tests and the cache benchmark.
   int64_t computation_count() const { return computation_count_; }
@@ -117,6 +125,12 @@ class MetadataQuery {
   bool ComputeAreColumnsUnique(const RelNodePtr& node,
                                const std::vector<int>& columns);
   double ComputeAverageRowSize(const RelNodePtr& node);
+  std::optional<double> ComputeDistinctRowCount(
+      const RelNodePtr& node, const std::vector<int>& columns);
+  /// Equi-join output size before residual conjuncts: |L|·|R| over the
+  /// larger key distinct count, capped by a unique key on either side.
+  double EquiJoinRowCount(const Join& join,
+                          const std::vector<std::pair<int, int>>& keys);
 
   std::vector<std::shared_ptr<MetadataProvider>> providers_;
   bool cache_enabled_ = true;
@@ -128,6 +142,7 @@ class MetadataQuery {
   std::unordered_map<std::string, double> selectivity_cache_;
   std::unordered_map<std::string, bool> unique_cache_;
   std::unordered_map<const RelNode*, double> row_size_cache_;
+  std::unordered_map<std::string, std::optional<double>> distinct_cache_;
 };
 
 }  // namespace calcite

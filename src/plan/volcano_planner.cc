@@ -59,6 +59,19 @@ class VolcanoPlanner::SubsetRef final : public RelNode {
     return result;
   }
 
+  std::optional<double> SelfDistinctRowCount(
+      MetadataQuery* mq, const std::vector<int>& columns) const override {
+    int root = planner_->Find(set_id_);
+    if (!planner_->distinct_guard_.insert(root).second) return std::nullopt;
+    const RelSet& set = *planner_->sets_[static_cast<size_t>(root)];
+    std::optional<double> result;
+    if (!set.exprs.empty()) {
+      result = mq->DistinctRowCount(set.exprs.front(), columns);
+    }
+    planner_->distinct_guard_.erase(root);
+    return result;
+  }
+
  private:
   VolcanoPlanner* planner_;
   int set_id_;

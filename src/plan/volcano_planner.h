@@ -127,6 +127,8 @@ class VolcanoPlanner {
   std::unordered_map<const RelNode*, int> expr_set_;
   /// Cycle guard for row-count queries across subset placeholders.
   std::unordered_set<int> row_count_guard_;
+  /// Cycle guard for distinct-count queries across subset placeholders.
+  std::unordered_set<int> distinct_guard_;
   /// Set from the CALCITE_TRACE environment variable: logs rule firings.
   bool trace_ = false;
   RelOptCost best_cost_ = RelOptCost::Infinite();

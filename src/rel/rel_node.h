@@ -112,6 +112,13 @@ class RelNode : public std::enable_shared_from_this<RelNode> {
     return std::nullopt;
   }
 
+  /// Distinct-count override for a column set; subset placeholders
+  /// delegate to their equivalence set's canonical expression.
+  virtual std::optional<double> SelfDistinctRowCount(
+      MetadataQuery*, const std::vector<int>&) const {
+    return std::nullopt;
+  }
+
   /// Executes the node, materializing its full result. Only physical
   /// (non-logical convention) operators are executable; logical operators
   /// return an error. Execution is pull-based internally (iterator

@@ -588,56 +588,56 @@ Status FallbackDense(Ctx& ctx, const RexNodePtr& node, ColumnVector* res) {
 
 /// Recognizes `node` as a pushdown-shaped predicate (`$col <op> literal`,
 /// `literal <op> $col`, `$col IS [NOT] NULL`) and converts it, so narrowing
-/// reuses the typed leaf-predicate loops.
-std::optional<ScanPredicate> AsScanPredicateShape(const RexNodePtr& node) {
+/// reuses the typed leaf-predicate loops. Fills `pred` in place: returning
+/// it by value moved its literal's std::variant, which GCC 12 under ASan
+/// reports as -Wmaybe-uninitialized.
+bool AsScanPredicateShape(const RexNodePtr& node, ScanPredicate* pred) {
   const RexCall* call = AsCall(node);
-  if (call == nullptr) return std::nullopt;
+  if (call == nullptr) return false;
   const OpKind op = call->op();
   if (op == OpKind::kIsNull || op == OpKind::kIsNotNull) {
     const RexInputRef* ref = AsInputRef(call->operand(0));
-    if (ref == nullptr) return std::nullopt;
-    ScanPredicate pred;
-    pred.kind = op == OpKind::kIsNull ? ScanPredicate::Kind::kIsNull
-                                      : ScanPredicate::Kind::kIsNotNull;
-    pred.column = ref->index();
-    return pred;
+    if (ref == nullptr) return false;
+    pred->kind = op == OpKind::kIsNull ? ScanPredicate::Kind::kIsNull
+                                       : ScanPredicate::Kind::kIsNotNull;
+    pred->column = ref->index();
+    return true;
   }
-  if (!IsComparison(op)) return std::nullopt;
+  if (!IsComparison(op)) return false;
   const RexInputRef* ref = AsInputRef(call->operand(0));
   const RexLiteral* lit = AsLiteral(call->operand(1));
   OpKind effective = op;
   if (ref == nullptr || lit == nullptr) {
     ref = AsInputRef(call->operand(1));
     lit = AsLiteral(call->operand(0));
-    if (ref == nullptr || lit == nullptr) return std::nullopt;
+    if (ref == nullptr || lit == nullptr) return false;
     effective = ReverseComparison(op);
   }
-  ScanPredicate pred;
   switch (effective) {
     case OpKind::kEquals:
-      pred.kind = ScanPredicate::Kind::kEquals;
+      pred->kind = ScanPredicate::Kind::kEquals;
       break;
     case OpKind::kNotEquals:
-      pred.kind = ScanPredicate::Kind::kNotEquals;
+      pred->kind = ScanPredicate::Kind::kNotEquals;
       break;
     case OpKind::kLessThan:
-      pred.kind = ScanPredicate::Kind::kLessThan;
+      pred->kind = ScanPredicate::Kind::kLessThan;
       break;
     case OpKind::kLessThanOrEqual:
-      pred.kind = ScanPredicate::Kind::kLessThanOrEqual;
+      pred->kind = ScanPredicate::Kind::kLessThanOrEqual;
       break;
     case OpKind::kGreaterThan:
-      pred.kind = ScanPredicate::Kind::kGreaterThan;
+      pred->kind = ScanPredicate::Kind::kGreaterThan;
       break;
     case OpKind::kGreaterThanOrEqual:
-      pred.kind = ScanPredicate::Kind::kGreaterThanOrEqual;
+      pred->kind = ScanPredicate::Kind::kGreaterThanOrEqual;
       break;
     default:
-      return std::nullopt;
+      return false;
   }
-  pred.column = ref->index();
-  pred.literal = lit->value();
-  return pred;
+  pred->column = ref->index();
+  pred->literal = lit->value();
+  return true;
 }
 
 }  // namespace
@@ -762,8 +762,8 @@ Status RexColumnar::NarrowSelection(const RexNodePtr& node,
   }
 
   // Fused typed loops for pushdown-shaped predicates on the raw columns.
-  if (auto pred = AsScanPredicateShape(node)) {
-    NarrowByScanPredicate(*pred, batch, sel);
+  if (ScanPredicate pred; AsScanPredicateShape(node, &pred)) {
+    NarrowByScanPredicate(pred, batch, sel);
     return Status::OK();
   }
 

@@ -14,6 +14,54 @@ bool IsLogicalConvention(const RelNode& node) {
   return node.convention() == Convention::Logical();
 }
 
+/// Conjuncts over a join's output, sorted by the input they reference.
+struct SideSplit {
+  std::vector<RexNodePtr> left;   // left input's fields only
+  std::vector<RexNodePtr> right;  // right input's, shifted to its field space
+  std::vector<RexNodePtr> rest;   // both inputs, none, or a side not allowed
+};
+
+SideSplit SplitBySide(const std::vector<RexNodePtr>& conjuncts,
+                      const Join& join, bool to_left, bool to_right) {
+  const int left_count = join.input(0)->row_type()->field_count();
+  const int total = left_count + join.input(1)->row_type()->field_count();
+  SideSplit split;
+  for (const RexNodePtr& conjunct : conjuncts) {
+    // A constant conjunct stays. Pushing `ON TRUE` would build a
+    // Filter(TRUE) that ReduceExpressionsRule removes again, recreating the
+    // join, so the rules would never stop firing.
+    if (RexUtil::InputRefs(conjunct).empty()) {
+      split.rest.push_back(conjunct);
+    } else if (to_left && RexUtil::AllRefsInRange(conjunct, 0, left_count)) {
+      split.left.push_back(conjunct);
+    } else if (to_right &&
+               RexUtil::AllRefsInRange(conjunct, left_count, total)) {
+      split.right.push_back(RexUtil::ShiftRefs(conjunct, -left_count));
+    } else {
+      split.rest.push_back(conjunct);
+    }
+  }
+  return split;
+}
+
+/// `join` with `split.left` and `split.right` as Filters on its inputs and
+/// `split.rest` as its condition.
+RelNodePtr PushBelowJoin(const Join& join, SideSplit split,
+                         RelOptRuleCall* call) {
+  const RexBuilder& rex = call->rex_builder();
+  RelNodePtr left = join.input(0);
+  RelNodePtr right = join.input(1);
+  if (!split.left.empty()) {
+    left = LogicalFilter::Create(left, rex.MakeAnd(std::move(split.left)));
+  }
+  if (!split.right.empty()) {
+    right = LogicalFilter::Create(right, rex.MakeAnd(std::move(split.right)));
+  }
+  return LogicalJoin::Create(std::move(left), std::move(right),
+                             rex.MakeAnd(std::move(split.rest)),
+                             join.join_type(), call->type_factory());
+}
+
 // ----------------------------- FilterIntoJoin ------------------------------
 
 class FilterIntoJoinRule final : public RelOptRule {
@@ -37,43 +85,44 @@ class FilterIntoJoinRule final : public RelOptRule {
     // side; restrict to inner joins (Calcite's default "smart" behaviour).
     if (join->join_type() != JoinType::kInner) return;
 
-    int left_count = join->input(0)->row_type()->field_count();
-    int total = join->row_type()->field_count();
-
-    std::vector<RexNodePtr> left_preds;
-    std::vector<RexNodePtr> right_preds;
-    std::vector<RexNodePtr> cross_preds;
-    for (const RexNodePtr& conjunct : RexUtil::FlattenAnd(filter.condition())) {
-      if (RexUtil::AllRefsInRange(conjunct, 0, left_count)) {
-        left_preds.push_back(conjunct);
-      } else if (RexUtil::AllRefsInRange(conjunct, left_count, total)) {
-        right_preds.push_back(RexUtil::ShiftRefs(conjunct, -left_count));
-      } else {
-        cross_preds.push_back(conjunct);
-      }
-    }
-    if (left_preds.empty() && right_preds.empty()) return;  // Nothing moves.
-
-    const RexBuilder& rex = call->rex_builder();
-    RelNodePtr left = join->input(0);
-    RelNodePtr right = join->input(1);
-    if (!left_preds.empty()) {
-      left = LogicalFilter::Create(left, rex.MakeAnd(std::move(left_preds)));
-    }
-    if (!right_preds.empty()) {
-      right =
-          LogicalFilter::Create(right, rex.MakeAnd(std::move(right_preds)));
-    }
+    SideSplit split =
+        SplitBySide(RexUtil::FlattenAnd(filter.condition()), *join,
+                    /*to_left=*/true, /*to_right=*/true);
+    if (split.left.empty() && split.right.empty()) return;  // Nothing moves.
     // Cross-side conjuncts can be performed by the join itself.
     std::vector<RexNodePtr> join_conjuncts =
         RexUtil::FlattenAnd(join->condition());
-    join_conjuncts.insert(join_conjuncts.end(), cross_preds.begin(),
-                          cross_preds.end());
-    RelNodePtr new_join = LogicalJoin::Create(
-        std::move(left), std::move(right),
-        rex.MakeAnd(std::move(join_conjuncts)), join->join_type(),
-        call->type_factory());
-    call->TransformTo(std::move(new_join));
+    join_conjuncts.insert(join_conjuncts.end(), split.rest.begin(),
+                          split.rest.end());
+    split.rest = std::move(join_conjuncts);
+    call->TransformTo(PushBelowJoin(*join, std::move(split), call));
+  }
+};
+
+// --------------------------- JoinConditionPush ----------------------------
+
+class JoinConditionPushRule final : public RelOptRule {
+ public:
+  std::string name() const override { return "JoinConditionPushRule"; }
+
+  bool MatchesRoot(const RelNode& node) const override {
+    const auto* join = dynamic_cast<const Join*>(&node);
+    return IsLogicalConvention(node) && join != nullptr &&
+           (join->join_type() == JoinType::kInner ||
+            join->join_type() == JoinType::kLeft ||
+            join->join_type() == JoinType::kRight);
+  }
+
+  bool NeedsConcreteChildren() const override { return false; }
+
+  void OnMatch(RelOptRuleCall* call) const override {
+    const auto& join = static_cast<const Join&>(*call->rel());
+    // Only the null-producing side of an outer join may lose rows early.
+    SideSplit split = SplitBySide(RexUtil::FlattenAnd(join.condition()), join,
+                                  join.join_type() != JoinType::kLeft,
+                                  join.join_type() != JoinType::kRight);
+    if (split.left.empty() && split.right.empty()) return;  // Nothing moves.
+    call->TransformTo(PushBelowJoin(join, std::move(split), call));
   }
 };
 
@@ -533,37 +582,13 @@ class JoinCommuteRule final : public RelOptRule {
 
   void OnMatch(RelOptRuleCall* call) const override {
     const auto& join = static_cast<const Join&>(*call->rel());
-    int left_count = join.input(0)->row_type()->field_count();
-    int right_count = join.input(1)->row_type()->field_count();
-    // Remap condition refs into the swapped field space.
-    std::vector<int> mapping(
-        static_cast<size_t>(left_count + right_count));
-    for (int i = 0; i < left_count; ++i) {
-      mapping[static_cast<size_t>(i)] = i + right_count;
-    }
-    for (int i = 0; i < right_count; ++i) {
-      mapping[static_cast<size_t>(left_count + i)] = i;
-    }
-    RexNodePtr swapped_cond = RexUtil::RemapRefs(join.condition(), mapping);
-    RelNodePtr swapped = LogicalJoin::Create(join.input(1), join.input(0),
-                                             std::move(swapped_cond),
-                                             JoinType::kInner,
-                                             call->type_factory());
-    // Restore the original field order with a projection.
-    const RexBuilder& rex = call->rex_builder();
-    std::vector<RexNodePtr> exprs;
-    std::vector<std::string> names;
-    const auto& fields = join.row_type()->fields();
-    for (int i = 0; i < left_count; ++i) {
-      exprs.push_back(rex.MakeInputRef(swapped->row_type(), right_count + i));
-      names.push_back(fields[static_cast<size_t>(i)].name);
-    }
-    for (int i = 0; i < right_count; ++i) {
-      exprs.push_back(rex.MakeInputRef(swapped->row_type(), i));
-      names.push_back(fields[static_cast<size_t>(left_count + i)].name);
-    }
+    SwappedJoin swap = SwapJoin(join, call->rex_builder());
+    RelNodePtr swapped = LogicalJoin::Create(
+        join.input(1), join.input(0), std::move(swap.condition),
+        swap.join_type, call->type_factory());
     call->TransformTo(LogicalProject::Create(std::move(swapped),
-                                             std::move(exprs), names,
+                                             std::move(swap.restore),
+                                             swap.names,
                                              call->type_factory()));
   }
 };
@@ -635,6 +660,9 @@ class JoinAssociateRule final : public RelOptRule {
 RelOptRulePtr MakeFilterIntoJoinRule() {
   return std::make_shared<FilterIntoJoinRule>();
 }
+RelOptRulePtr MakeJoinConditionPushRule() {
+  return std::make_shared<JoinConditionPushRule>();
+}
 RelOptRulePtr MakeFilterMergeRule() {
   return std::make_shared<FilterMergeRule>();
 }
@@ -683,6 +711,7 @@ std::vector<RelOptRulePtr> StandardLogicalRules() {
       MakeFilterAggregateTransposeRule(),
       MakeFilterSetOpTransposeRule(),
       MakeFilterIntoJoinRule(),
+      MakeJoinConditionPushRule(),
       MakeProjectMergeRule(),
       MakeProjectRemoveRule(),
       MakeUnionMergeRule(),
@@ -690,6 +719,42 @@ std::vector<RelOptRulePtr> StandardLogicalRules() {
       MakeAggregateRemoveRule(),
       MakePruneEmptyRule(),
   };
+}
+
+SwappedJoin SwapJoin(const Join& join, const RexBuilder& rex) {
+  int left_count = join.input(0)->row_type()->field_count();
+  int right_count = join.input(1)->row_type()->field_count();
+  SwappedJoin swap;
+  switch (join.join_type()) {
+    case JoinType::kLeft:
+      swap.join_type = JoinType::kRight;
+      break;
+    case JoinType::kRight:
+      swap.join_type = JoinType::kLeft;
+      break;
+    default:
+      swap.join_type = join.join_type();
+  }
+  // Remap condition refs into the swapped field space.
+  std::vector<int> mapping(static_cast<size_t>(left_count + right_count));
+  for (int i = 0; i < left_count; ++i) {
+    mapping[static_cast<size_t>(i)] = i + right_count;
+  }
+  for (int i = 0; i < right_count; ++i) {
+    mapping[static_cast<size_t>(left_count + i)] = i;
+  }
+  swap.condition = RexUtil::RemapRefs(join.condition(), mapping);
+  swap.row_type =
+      DeriveJoinRowType(join.input(1)->row_type(), join.input(0)->row_type(),
+                        swap.join_type, rex.type_factory());
+  // Restore the original field order with a projection.
+  const auto& fields = join.row_type()->fields();
+  for (int i = 0; i < left_count + right_count; ++i) {
+    swap.restore.push_back(
+        rex.MakeInputRef(swap.row_type, mapping[static_cast<size_t>(i)]));
+    swap.names.push_back(fields[static_cast<size_t>(i)].name);
+  }
+  return swap;
 }
 
 std::vector<RelOptRulePtr> JoinReorderRules() {

@@ -1,9 +1,11 @@
 #ifndef CALCITE_RULES_CORE_RULES_H_
 #define CALCITE_RULES_CORE_RULES_H_
 
+#include <string>
 #include <vector>
 
 #include "plan/rule.h"
+#include "rel/core.h"
 
 namespace calcite {
 
@@ -19,6 +21,14 @@ namespace calcite {
 /// only the left (right) side move below the join; cross-side conjuncts join
 /// the join condition (inner joins).
 RelOptRulePtr MakeFilterIntoJoinRule();
+
+/// Calcite's FilterJoinRule.JoinConditionPushRule: ON conjuncts that
+/// reference one input only become a Filter on that input. INNER joins push
+/// both sides; an outer join pushes only into its null-producing side
+/// (LEFT: right-only conjuncts, RIGHT: left-only ones), since a conjunct
+/// over the preserved side decides padding, not membership. FULL, SEMI and
+/// ANTI joins are left as they are.
+RelOptRulePtr MakeJoinConditionPushRule();
 
 /// Filter(Filter(x)) => Filter(x, c1 AND c2).
 RelOptRulePtr MakeFilterMergeRule();
@@ -62,6 +72,25 @@ RelOptRulePtr MakeAggregateRemoveRule();
 
 /// Join(a, b) => Join(b, a) with a restoring projection (inner joins).
 RelOptRulePtr MakeJoinCommuteRule();
+
+/// The pieces of Join(a, b) => Project(Join(b, a)), shared by
+/// JoinCommuteRule and the enumerable join rule's build-side choice.
+struct SwappedJoin {
+  /// The condition over the swapped (b, a) field space.
+  RexNodePtr condition;
+  /// LEFT and RIGHT trade places; INNER and FULL stay.
+  JoinType join_type;
+  /// Row type of Join(b, a).
+  RelDataTypePtr row_type;
+  /// Input references over `row_type` that restore the original field
+  /// order, and the original field names.
+  std::vector<RexNodePtr> restore;
+  std::vector<std::string> names;
+};
+
+/// Swaps `join`'s inputs. SEMI and ANTI joins emit only their left input
+/// and cannot be swapped; the caller must not pass one.
+SwappedJoin SwapJoin(const Join& join, const RexBuilder& rex);
 
 /// Join(Join(a, b), c) => Join(a, Join(b, c)) when the predicates allow
 /// (inner joins). Together with commute, spans the join-order space the

@@ -33,15 +33,17 @@ struct QueryResult {
 /// automatically (§5).
 class Connection {
  public:
+  /// Every member has a default initializer, so `Config{schema}` names
+  /// the schema and leaves the rest at their defaults.
   struct Config {
     SchemaPtr schema;
     /// Enable join-order exploration (commute/associate) in the cost-based
     /// phase.
     bool join_reorder = false;
     /// Cost-based phase options (fixpoint mode, δ threshold...).
-    VolcanoPlanner::Options volcano_options;
+    VolcanoPlanner::Options volcano_options{};
     /// Extra planner rules for the cost-based phase.
-    std::vector<RelOptRulePtr> extra_rules;
+    std::vector<RelOptRulePtr> extra_rules{};
     /// Materialized views available for query rewriting (§6); the
     /// substitution rule joins the logical phase when set.
     const MaterializationCatalog* materializations = nullptr;
@@ -53,7 +55,7 @@ class Connection {
     /// (num_threads = 1, the default, keeps execution fully serial and
     /// deterministic; > 1 parallelizes eligible scan/aggregate/join
     /// fragments at the cost of row-order determinism within them).
-    ExecOptions exec_options;
+    ExecOptions exec_options{};
   };
 
   explicit Connection(Config config);

@@ -14,14 +14,16 @@ const std::vector<std::pair<Value, Value>> kEmptyEntries;
 Value Value::Array(std::vector<Value> elems) {
   auto composite = std::make_shared<Composite>();
   composite->elements = std::move(elems);
-  return Value(Data(std::shared_ptr<const Composite>(std::move(composite))));
+  return Value(std::in_place_type<std::shared_ptr<const Composite>>,
+               std::move(composite));
 }
 
 Value Value::Map(std::vector<std::pair<Value, Value>> entries) {
   auto composite = std::make_shared<Composite>();
   composite->entries = std::move(entries);
   composite->is_map = true;
-  return Value(Data(std::shared_ptr<const Composite>(std::move(composite))));
+  return Value(std::in_place_type<std::shared_ptr<const Composite>>,
+               std::move(composite));
 }
 
 bool Value::is_array() const {

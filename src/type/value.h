@@ -29,13 +29,19 @@ class Value {
   Value() : data_(NullTag{}) {}
 
   static Value Null() { return Value(); }
-  static Value Bool(bool b) { return Value(Data(b)); }
-  static Value Int(int64_t i) { return Value(Data(i)); }
-  static Value Double(double d) { return Value(Data(d)); }
-  static Value String(std::string s) { return Value(Data(std::move(s))); }
+  static Value Bool(bool b) { return Value(std::in_place_type<bool>, b); }
+  static Value Int(int64_t i) { return Value(std::in_place_type<int64_t>, i); }
+  static Value Double(double d) {
+    return Value(std::in_place_type<double>, d);
+  }
+  static Value String(std::string s) {
+    return Value(std::in_place_type<std::string>, std::move(s));
+  }
   static Value Array(std::vector<Value> elems);
   static Value Map(std::vector<std::pair<Value, Value>> entries);
-  static Value Geometry(geo::GeometryPtr g) { return Value(Data(std::move(g))); }
+  static Value Geometry(geo::GeometryPtr g) {
+    return Value(std::in_place_type<geo::GeometryPtr>, std::move(g));
+  }
 
   bool IsNull() const { return std::holds_alternative<NullTag>(data_); }
   bool is_bool() const { return std::holds_alternative<bool>(data_); }
@@ -94,7 +100,12 @@ class Value {
   using Data = std::variant<NullTag, bool, int64_t, double, std::string,
                             geo::GeometryPtr, std::shared_ptr<const Composite>>;
 
-  explicit Value(Data data) : data_(std::move(data)) {}
+  /// Builds the alternative in place. Moving a temporary Data instead
+  /// makes GCC 12 report -Wmaybe-uninitialized inside std::variant's move
+  /// constructor, which cannot see which alternative the temporary holds.
+  template <typename T, typename Arg>
+  Value(std::in_place_type_t<T> type, Arg&& arg)
+      : data_(type, std::forward<Arg>(arg)) {}
 
   Data data_;
 };

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "adapters/enumerable/enumerable_rels.h"
 #include "adapters/enumerable/enumerable_rules.h"
 #include "plan/hep_planner.h"
 #include "plan/programs.h"
@@ -7,6 +8,7 @@
 #include "rel/rel_writer.h"
 #include "rules/core_rules.h"
 #include "test_schema.h"
+#include "tools/frameworks.h"
 #include "tools/rel_builder.h"
 
 namespace calcite {
@@ -182,6 +184,177 @@ TEST_F(PlannerTest, EquivalenceSetsDeduplicate) {
   // The memo must contain more expressions than sets (alternatives grouped
   // into equivalence classes).
   EXPECT_GT(planner.expr_count(), planner.set_count());
+}
+
+// ------------------------ join build side and ON push ----------------------
+
+/// The test schema with every table's row count scaled by 1000: at three
+/// to six rows a nested-loop join costs less than any hash join, so the
+/// build-side choice only shows at realistic sizes. Only estimates change;
+/// these plans are not executed.
+SchemaPtr ScaledTestSchema() {
+  SchemaPtr schema = MakeTestSchema();
+  for (const std::string& name : schema->TableNames()) {
+    auto* table = dynamic_cast<MemTable*>(schema->GetTable(name).get());
+    if (table == nullptr) continue;
+    TableStats stats = table->GetStatistic();
+    stats.row_count = *stats.row_count * 1000;
+    table->set_statistic(std::move(stats));
+  }
+  return schema;
+}
+
+/// Optimizes `sql` over the scaled test schema, as Connection::Query
+/// would.
+RelNodePtr OptimizeSql(const std::string& sql) {
+  Connection conn{Connection::Config{ScaledTestSchema()}};
+  auto logical = conn.ParseQuery(sql);
+  EXPECT_TRUE(logical.ok()) << logical.status().ToString();
+  if (!logical.ok()) return nullptr;
+  auto physical = conn.OptimizePlan(logical.value());
+  EXPECT_TRUE(physical.ok()) << physical.status().ToString();
+  return physical.ok() ? physical.value() : nullptr;
+}
+
+void CollectHashJoins(const RelNodePtr& node,
+                      std::vector<const EnumerableHashJoin*>* out) {
+  if (const auto* join = dynamic_cast<const EnumerableHashJoin*>(node.get())) {
+    out->push_back(join);
+  }
+  for (const RelNodePtr& input : node->inputs()) CollectHashJoins(input, out);
+}
+
+/// The table names scanned under `node`, left to right.
+std::string Scans(const RelNodePtr& node) {
+  if (const auto* scan = dynamic_cast<const TableScan*>(node.get())) {
+    return scan->qualified_name().back();
+  }
+  std::string out;
+  for (const RelNodePtr& input : node->inputs()) {
+    std::string child = Scans(input);
+    if (!out.empty() && !child.empty()) out += ",";
+    out += child;
+  }
+  return out;
+}
+
+/// The hash joins of `plan`, top-down, each asserted to build (right
+/// input) on the side with fewer estimated bytes.
+std::vector<const EnumerableHashJoin*> BuildSidesAreSmaller(
+    const RelNodePtr& plan) {
+  std::vector<const EnumerableHashJoin*> joins;
+  CollectHashJoins(plan, &joins);
+  MetadataQuery mq;
+  for (const EnumerableHashJoin* join : joins) {
+    EXPECT_LE(EnumerableHashJoin::BuildBytes(&mq, join->input(1)),
+              EnumerableHashJoin::BuildBytes(&mq, join->input(0)))
+        << ExplainPlan(plan);
+  }
+  return joins;
+}
+
+TEST(JoinPlanShapeTest, LeftJoinPushesRightConjunctAndBuildsOnSmallerSide) {
+  // The a_left_join shape: the right-only ON conjunct filters emps below
+  // the join, and the smaller depts becomes the build side, so LEFT turns
+  // into RIGHT over swapped inputs.
+  RelNodePtr plan = OptimizeSql(
+      "SELECT d.deptno, d.dept_name, COUNT(e.empid) AS n FROM depts d "
+      "LEFT JOIN emps e ON d.deptno = e.deptno AND e.salary > 8000 "
+      "GROUP BY d.deptno, d.dept_name");
+  ASSERT_NE(plan, nullptr);
+  std::vector<const EnumerableHashJoin*> joins = BuildSidesAreSmaller(plan);
+  ASSERT_EQ(joins.size(), 1u) << ExplainPlan(plan);
+  EXPECT_EQ(joins[0]->join_type(), JoinType::kRight) << ExplainPlan(plan);
+  EXPECT_EQ(Scans(joins[0]->input(1)), "depts") << ExplainPlan(plan);
+  const auto* filter = dynamic_cast<const Filter*>(joins[0]->input(0).get());
+  ASSERT_NE(filter, nullptr) << ExplainPlan(plan);
+  EXPECT_EQ(Scans(joins[0]->input(0)), "emps");
+  // Only the key is left in the join condition.
+  std::vector<std::pair<int, int>> keys;
+  std::vector<RexNodePtr> remaining;
+  EXPECT_TRUE(joins[0]->AnalyzeEquiKeys(&keys, &remaining));
+  EXPECT_TRUE(remaining.empty()) << ExplainPlan(plan);
+}
+
+TEST(JoinPlanShapeTest, KeyRangeSideBecomesTheBuildSide) {
+  // The d_join2 shape: a key-range filter leaves few depts rows, written
+  // on the left; the hash table is built on them, not on emps.
+  RelNodePtr plan = OptimizeSql(
+      "SELECT d.dept_name, COUNT(*) AS c FROM depts d JOIN emps e "
+      "ON d.deptno = e.deptno WHERE d.deptno >= 20 AND d.deptno < 30 "
+      "GROUP BY d.dept_name");
+  ASSERT_NE(plan, nullptr);
+  std::vector<const EnumerableHashJoin*> joins = BuildSidesAreSmaller(plan);
+  ASSERT_EQ(joins.size(), 1u) << ExplainPlan(plan);
+  EXPECT_EQ(joins[0]->join_type(), JoinType::kInner);
+  EXPECT_EQ(Scans(joins[0]->input(0)), "emps") << ExplainPlan(plan);
+  EXPECT_EQ(Scans(joins[0]->input(1)), "depts") << ExplainPlan(plan);
+}
+
+TEST(JoinPlanShapeTest, ThreeWayJoinBuildsOnTheFilteredPair) {
+  // The a_join3_topk shape: two filtered tables joined first, then a
+  // larger table on the right. Both joins build on their smaller side, so
+  // the pair is the top join's build side and sales its probe side.
+  RelNodePtr plan = OptimizeSql(
+      "SELECT e.name, SUM(s.units) AS u FROM depts d JOIN emps e "
+      "ON d.deptno = e.deptno JOIN sales s ON s.saleid = e.empid "
+      "WHERE d.dept_name = 'Sales' AND e.salary > 9000 AND e.empid < 150 "
+      "GROUP BY e.name");
+  ASSERT_NE(plan, nullptr);
+  std::vector<const EnumerableHashJoin*> joins = BuildSidesAreSmaller(plan);
+  ASSERT_EQ(joins.size(), 2u) << ExplainPlan(plan);
+  EXPECT_EQ(Scans(joins[0]->input(0)), "sales") << ExplainPlan(plan);
+  EXPECT_EQ(Scans(joins[0]->input(1)), "emps,depts") << ExplainPlan(plan);
+}
+
+TEST(JoinPlanShapeTest, JoinConditionPushRespectsOuterJoinSides) {
+  // Hep alone: a LEFT join keeps its left-only conjunct (it decides
+  // padding) and pushes the right-only one; FULL keeps both.
+  struct Case {
+    const char* sql;
+    const char* kept;    // conjunct text left in the condition
+    int filters;         // Filters under the join
+  };
+  const Case cases[] = {
+      {"SELECT * FROM depts d LEFT JOIN emps e ON d.deptno = e.deptno "
+       "AND d.dept_name = 'Sales' AND e.salary > 8000",
+       "'Sales'", 1},
+      {"SELECT * FROM depts d RIGHT JOIN emps e ON d.deptno = e.deptno "
+       "AND d.dept_name = 'Sales' AND e.salary > 8000",
+       "8000", 1},
+      {"SELECT * FROM depts d JOIN emps e ON d.deptno = e.deptno "
+       "AND d.dept_name = 'Sales' AND e.salary > 8000",
+       nullptr, 2},
+      {"SELECT * FROM depts d FULL JOIN emps e ON d.deptno = e.deptno "
+       "AND d.dept_name = 'Sales' AND e.salary > 8000",
+       "8000", 0},
+  };
+  for (const Case& c : cases) {
+    Connection conn{Connection::Config{MakeTestSchema()}};
+    auto logical = conn.ParseQuery(c.sql);
+    ASSERT_TRUE(logical.ok()) << logical.status().ToString();
+    PlannerContext context;
+    HepPlanner hep(StandardLogicalRules(), &context);
+    auto rewritten = hep.Optimize(logical.value());
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status().ToString();
+    const std::string explain = ExplainPlan(rewritten.value());
+    const size_t join_pos = explain.find("LogicalJoin");
+    ASSERT_NE(join_pos, std::string::npos) << explain;
+    const std::string join_line =
+        explain.substr(join_pos, explain.find('\n', join_pos) - join_pos);
+    if (c.kept != nullptr) {
+      EXPECT_NE(join_line.find(c.kept), std::string::npos) << explain;
+    } else {
+      EXPECT_EQ(join_line.find("AND"), std::string::npos) << explain;
+    }
+    int filters = 0;
+    for (size_t pos = explain.find("LogicalFilter", join_pos);
+         pos != std::string::npos;
+         pos = explain.find("LogicalFilter", pos + 1)) {
+      ++filters;
+    }
+    EXPECT_EQ(filters, c.filters) << c.sql << "\n" << explain;
+  }
 }
 
 }  // namespace

@@ -5,9 +5,11 @@
 // at a time through RexInterpreter::Eval / EvalPredicate and AggAccumulator,
 // so the differential suites compare the columnar path against plain row
 // semantics. Joins are evaluated as nested loops over the oracle's own
-// input rows with the join condition evaluated per combined row. Any other
-// node (scan, sort, set op, values, window, converters) contributes its
-// own serial output: those operators evaluate no expressions.
+// input rows with the join condition evaluated per combined row. A table
+// scan, logical or physical, reads its table's rows, so the oracle also
+// evaluates an unoptimized logical plan: the reference for rewrite rules.
+// Any other node (sort, set op, values, window, converters) contributes
+// its own serial output: those operators evaluate no expressions.
 
 #ifndef CALCITE_TESTS_ROW_ORACLE_H_
 #define CALCITE_TESTS_ROW_ORACLE_H_
@@ -119,6 +121,9 @@ inline Result<std::vector<Row>> OracleRows(const RelNodePtr& node) {
       }
     }
     return out;
+  }
+  if (const auto* scan = dynamic_cast<const TableScan*>(node.get())) {
+    return scan->table()->Scan();
   }
   return node->Execute();
 }

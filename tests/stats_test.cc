@@ -497,6 +497,142 @@ TEST(TableStatsProviderTest, NullFractionDrivesIsNullSelectivity) {
 }
 
 // ---------------------------------------------------------------------------
+// Equi-join cardinality
+// ---------------------------------------------------------------------------
+
+/// customer(custkey, segment) and orders(orderkey, custkey, odate) in the
+/// 1:10 ratio of TPC-H; one customer in three never orders. Each scan sits
+/// under a filter: segment = 'S1' (a fifth of the customers) and
+/// odate < 1200 (half of the orders).
+class EquiJoinEstimateTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kCustomers = 1000;
+  static constexpr int64_t kOrders = 10000;
+
+  void SetUp() override {
+    std::mt19937_64 rng(11);
+    auto int_t = tf_.CreateSqlType(SqlTypeName::kInteger);
+    auto str_t = tf_.CreateSqlType(SqlTypeName::kVarchar, 10);
+    std::vector<Row> customers;
+    for (int64_t c = 0; c < kCustomers; ++c) {
+      customers.push_back(
+          {Value::Int(c), Value::String("S" + std::to_string(rng() % 5))});
+    }
+    std::vector<Row> orders;
+    for (int64_t o = 0; o < kOrders; ++o) {
+      int64_t cust = static_cast<int64_t>(rng() % kCustomers);
+      if (cust % 3 == 0) cust = (cust + 1) % kCustomers;
+      orders.push_back({Value::Int(o), Value::Int(cust),
+                        Value::Int(static_cast<int64_t>(rng() % 2400))});
+    }
+    for (const Row& c : customers) {
+      if (c[1].AsString() != "S1") continue;
+      for (const Row& o : orders) {
+        actual_ += o[1].AsInt() == c[0].AsInt() && o[2].AsInt() < 1200;
+      }
+    }
+    customer_ = std::make_shared<MemTable>(
+        tf_.CreateStructType({"custkey", "segment"}, {int_t, str_t}),
+        std::move(customers));
+    orders_ = std::make_shared<MemTable>(
+        tf_.CreateStructType({"orderkey", "custkey", "odate"},
+                             {int_t, int_t, int_t}),
+        std::move(orders));
+  }
+
+  /// ANALYZEs both tables, or gives them only their row counts; custkey
+  /// is declared customer's key when `keyed`.
+  void SetStats(bool analyze, bool keyed) {
+    for (MemTable* table : {customer_.get(), orders_.get()}) {
+      TableStats stats;
+      if (analyze) {
+        auto analyzed = AnalyzeTable(*table);
+        ASSERT_OK(analyzed.status());
+        stats = *analyzed;
+      }
+      if (keyed) stats.unique_keys = {{0}};
+      table->set_statistic(stats);
+    }
+  }
+
+  RelNodePtr FilteredCustomer() {
+    RelNodePtr scan = LogicalTableScan::Create(customer_, {"customer"},
+                                               Convention::Enumerable(), tf_);
+    auto pred = rex_.MakeCall(
+        OpKind::kEquals,
+        {rex_.MakeInputRef(scan->row_type(), 1), rex_.MakeStringLiteral("S1")});
+    EXPECT_TRUE(pred.ok());
+    return LogicalFilter::Create(scan, *pred);
+  }
+
+  RelNodePtr FilteredOrders() {
+    RelNodePtr scan = LogicalTableScan::Create(orders_, {"orders"},
+                                               Convention::Enumerable(), tf_);
+    auto pred = rex_.MakeCall(
+        OpKind::kLessThan,
+        {rex_.MakeInputRef(scan->row_type(), 2), rex_.MakeIntLiteral(1200)});
+    EXPECT_TRUE(pred.ok());
+    return LogicalFilter::Create(scan, *pred);
+  }
+
+  /// left.custkey = right.custkey, where custkey is field `left_key` of
+  /// the left input and `right_key` of the right one.
+  RelNodePtr Join(const RelNodePtr& left, int left_key, const RelNodePtr& right,
+                  int right_key, JoinType type) {
+    const int left_count = left->row_type()->field_count();
+    RelDataTypePtr both = DeriveJoinRowType(left->row_type(), right->row_type(),
+                                            JoinType::kInner, tf_);
+    auto cond = rex_.MakeCall(
+        OpKind::kEquals, {rex_.MakeInputRef(both, left_key),
+                          rex_.MakeInputRef(both, left_count + right_key)});
+    EXPECT_TRUE(cond.ok());
+    return LogicalJoin::Create(left, right, *cond, type, tf_);
+  }
+
+  TypeFactory tf_;
+  RexBuilder rex_{tf_};
+  std::shared_ptr<MemTable> customer_;
+  std::shared_ptr<MemTable> orders_;
+  int64_t actual_ = 0;
+};
+
+TEST_F(EquiJoinEstimateTest, RowCountIgnoresInputOrder) {
+  for (bool analyze : {false, true}) {
+    for (bool keyed : {false, true}) {
+      SetStats(analyze, keyed);
+      const std::string label = "analyze=" + std::to_string(analyze) +
+                                " keyed=" + std::to_string(keyed);
+      const std::pair<JoinType, JoinType> types[] = {
+          {JoinType::kInner, JoinType::kInner},
+          {JoinType::kLeft, JoinType::kRight},
+          {JoinType::kFull, JoinType::kFull}};
+      for (const auto& [type, swapped] : types) {
+        // Both joins stay alive: the metadata cache is keyed by node
+        // address, which a freed node would hand to the next one.
+        MetadataQuery mq;
+        RelNodePtr c = FilteredCustomer();
+        RelNodePtr o = FilteredOrders();
+        RelNodePtr co = Join(c, 0, o, 1, type);
+        RelNodePtr oc = Join(o, 1, c, 0, swapped);
+        EXPECT_DOUBLE_EQ(mq.RowCount(co), mq.RowCount(oc))
+            << label << " type=" << JoinTypeName(type);
+      }
+    }
+  }
+}
+
+TEST_F(EquiJoinEstimateTest, AnalyzedEstimateIsWithinThreeXOfActual) {
+  SetStats(/*analyze=*/true, /*keyed=*/true);
+  ASSERT_GT(actual_, 0);
+  MetadataQuery mq;
+  const double estimate = mq.RowCount(
+      Join(FilteredCustomer(), 0, FilteredOrders(), 1, JoinType::kInner));
+  const double actual = static_cast<double>(actual_);
+  EXPECT_GE(estimate, actual / 3) << "actual=" << actual;
+  EXPECT_LE(estimate, actual * 3) << "actual=" << actual;
+}
+
+// ---------------------------------------------------------------------------
 // DiskTable: stats persistence and cost-based access paths
 // ---------------------------------------------------------------------------
 
