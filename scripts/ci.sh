@@ -95,13 +95,16 @@ if [[ -n "$SANITIZER" ]]; then
   # (columnar_leaf_test) runs under both: RowsToColumns points StringRefs
   # into the source rows it pins (ASan catches a batch outliving its pin),
   # and its DiskTable case drives 4 paged morsel workers that convert,
-  # filter and box rows over a 16-page pool (TSan). alloc_count_test is
+  # filter and box rows over a 16-page pool (TSan). The adapter and
+  # extension suites run under ASan/UBSan: they scan the CSV, Cassandra and
+  # stream tables, whose shared row store (RowStoreTable) is what row
+  # slices and zero-copy columnar views point into. alloc_count_test is
   # excluded everywhere: it overrides global operator new, which fights the
   # sanitizer allocators.
   if [[ "$SANITIZER" == *thread* ]]; then
     FILTER='parallel_exec_test|batch_parity_test|columnar_parity_test|columnar_leaf_test|rex_kernel_fuzz_test|storage_test|stats_test'
   else
-    FILTER='row_batch_test|rex_kernel_fuzz_test|simd_kernels_test|batch_parity_test|parallel_exec_test|columnar_parity_test|columnar_leaf_test|storage_test|stats_test'
+    FILTER='row_batch_test|rex_kernel_fuzz_test|simd_kernels_test|batch_parity_test|parallel_exec_test|columnar_parity_test|columnar_leaf_test|storage_test|stats_test|adapters_test|extensions_test'
   fi
   ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error \
     -R "$FILTER"

@@ -8,51 +8,39 @@
 
 namespace calcite {
 
+namespace {
+
+/// Orders rows as Cassandra stores them: grouped by partition, clustered
+/// within it.
+std::vector<Row> PartitionAndCluster(std::vector<Row> rows,
+                                     const std::vector<int>& partition_keys,
+                                     const RelCollation& clustering) {
+  std::stable_sort(rows.begin(), rows.end(), [&](const Row& a, const Row& b) {
+    for (int k : partition_keys) {
+      int c = a[static_cast<size_t>(k)].Compare(b[static_cast<size_t>(k)]);
+      if (c != 0) return c < 0;
+    }
+    for (const FieldCollation& fc : clustering.fields()) {
+      int c = a[static_cast<size_t>(fc.field)].Compare(
+          b[static_cast<size_t>(fc.field)]);
+      if (fc.direction == Direction::kDescending) c = -c;
+      if (c != 0) return c < 0;
+    }
+    return false;
+  });
+  return rows;
+}
+
+}  // namespace
+
 CassandraTable::CassandraTable(RelDataTypePtr row_type, std::vector<Row> rows,
                                std::vector<int> partition_keys,
                                RelCollation clustering)
-    : row_type_(std::move(row_type)),
-      rows_(std::move(rows)),
+    : RowStoreTable(std::move(row_type),
+                    PartitionAndCluster(std::move(rows), partition_keys,
+                                        clustering)),
       partition_keys_(std::move(partition_keys)),
-      clustering_(std::move(clustering)) {
-  // Physically store rows grouped by partition and clustered within it,
-  // as Cassandra does.
-  std::stable_sort(rows_.begin(), rows_.end(),
-                   [this](const Row& a, const Row& b) {
-                     for (int k : partition_keys_) {
-                       int c = a[static_cast<size_t>(k)].Compare(
-                           b[static_cast<size_t>(k)]);
-                       if (c != 0) return c < 0;
-                     }
-                     for (const FieldCollation& fc : clustering_.fields()) {
-                       int c = a[static_cast<size_t>(fc.field)].Compare(
-                           b[static_cast<size_t>(fc.field)]);
-                       if (fc.direction == Direction::kDescending) c = -c;
-                       if (c != 0) return c < 0;
-                     }
-                     return false;
-                   });
-}
-
-TableStats CassandraTable::GetStatistic() const {
-  TableStats stat;
-  stat.row_count = static_cast<double>(rows_.size());
-  return stat;
-}
-
-Result<std::vector<Row>> CassandraTable::Scan() const { return rows_; }
-
-Result<RowBatchPuller> CassandraTable::ScanBatched(size_t batch_size) const {
-  return SliceRows(rows_, batch_size);
-}
-
-Result<RowBatchPuller> CassandraTable::ScanBatchedFiltered(
-    size_t batch_size, ScanPredicateList predicates) const {
-  // The simulated backend filters its stored rows before materializing
-  // them; partition/clustering order is preserved (pushdown only drops
-  // rows, never reorders them).
-  return FilterSliceRows(rows_, batch_size, std::move(predicates));
-}
+      clustering_(std::move(clustering)) {}
 
 const Convention* CassandraSchema::CassandraConvention() {
   static const Convention* kConvention = new Convention("CASSANDRA", 0.9);

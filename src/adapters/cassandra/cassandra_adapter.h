@@ -18,35 +18,19 @@ namespace calcite {
 ///   (1) the table has been previously filtered to a single partition, and
 ///   (2) the sorting of partitions has some common prefix with the required
 ///       sort.
-class CassandraTable final : public Table {
+class CassandraTable final : public RowStoreTable {
  public:
+  /// Stores `rows` grouped by partition and clustered within it. The
+  /// simulated backend is immutable after construction.
   CassandraTable(RelDataTypePtr row_type, std::vector<Row> rows,
                  std::vector<int> partition_keys, RelCollation clustering);
-
-  RelDataTypePtr GetRowType(const TypeFactory&) const override {
-    return row_type_;
-  }
-  TableStats GetStatistic() const override;
-  Result<std::vector<Row>> Scan() const override;
-  Result<RowBatchPuller> ScanBatched(size_t batch_size) const override;
-  Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const override;
-
-  /// The simulated backend is immutable after construction, so the columnar
-  /// decomposition is built once and cached.
-  TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {
-    return columnar_.Get(rows_, row_type_);
-  }
 
   const std::vector<int>& partition_keys() const { return partition_keys_; }
   const RelCollation& clustering() const { return clustering_; }
 
  private:
-  RelDataTypePtr row_type_;
-  std::vector<Row> rows_;
   std::vector<int> partition_keys_;
   RelCollation clustering_;
-  ColumnarCache columnar_;
 };
 
 class CassandraSchema final : public Schema {

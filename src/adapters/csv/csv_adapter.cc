@@ -104,12 +104,6 @@ Result<std::shared_ptr<CsvTable>> CsvTable::FromFile(const std::string& path) {
   return FromText(buffer.str());
 }
 
-TableStats CsvTable::GetStatistic() const {
-  TableStats stat;
-  stat.row_count = static_cast<double>(rows_.size());
-  return stat;
-}
-
 Result<SchemaPtr> CsvSchemaFactory(const std::string& directory) {
   namespace fs = std::filesystem;
   if (!fs::is_directory(directory)) {

@@ -13,8 +13,9 @@ namespace calcite {
 /// The classic file adapter (Calcite's CSV tutorial adapter): a directory of
 /// CSV files becomes a schema; each file a table. The header line declares
 /// the columns as `name:type` pairs, e.g. `empno:int,name:string,sal:double`.
-/// Tables scan directly in the enumerable convention.
-class CsvTable final : public Table {
+/// The parsed file is immutable and held in memory, so the table scans, and
+/// builds its columnar decomposition once, through RowStoreTable.
+class CsvTable final : public RowStoreTable {
  public:
   /// Parses the CSV text (header + data lines). Supported types: int,
   /// long, double, string, boolean.
@@ -23,37 +24,8 @@ class CsvTable final : public Table {
   /// Reads a file from disk.
   static Result<std::shared_ptr<CsvTable>> FromFile(const std::string& path);
 
-  RelDataTypePtr GetRowType(const TypeFactory&) const override {
-    return row_type_;
-  }
-  TableStats GetStatistic() const override;
-  Result<std::vector<Row>> Scan() const override { return rows_; }
-
-  /// Emits the parsed file a batch at a time, without re-copying the whole
-  /// table per scan (the scan operator pins this table while pulling).
-  Result<RowBatchPuller> ScanBatched(size_t batch_size) const override {
-    return SliceRows(rows_, batch_size);
-  }
-
-  /// Pushed predicates filter the parsed rows before any copy.
-  Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const override {
-    return FilterSliceRows(rows_, batch_size, std::move(predicates));
-  }
-
-  /// The parsed file is immutable, so the columnar decomposition is built
-  /// once and never invalidated.
-  TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {
-    return columnar_.Get(rows_, row_type_);
-  }
-
  private:
-  CsvTable(RelDataTypePtr row_type, std::vector<Row> rows)
-      : row_type_(std::move(row_type)), rows_(std::move(rows)) {}
-
-  RelDataTypePtr row_type_;
-  std::vector<Row> rows_;
-  ColumnarCache columnar_;
+  using RowStoreTable::RowStoreTable;
 };
 
 /// The schema factory of Figure 3: "the schema factory component acquires

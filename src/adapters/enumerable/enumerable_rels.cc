@@ -92,6 +92,22 @@ ColumnMask ReadMask(const RelNode& node, const std::vector<int>& columns) {
   return mask;
 }
 
+/// The table's own OpenScan over `scan` with `pushed` predicates and the
+/// executor's batch size and access path. The table's puller may capture a
+/// raw `this`; the returned closure pins the table for as long as the
+/// pipeline pulls it.
+Result<RowBatchPuller> OpenTableRows(const TableScan& scan,
+                                     ScanPredicateList pushed,
+                                     const ExecOptions& opts) {
+  ScanSpec spec;
+  spec.batch_size = opts.Normalized().batch_size;
+  spec.predicates = std::move(pushed);
+  spec.access_path = opts.access_path;
+  CALCITE_ASSIGN_OR_RETURN(RowBatchPuller pull, scan.table()->OpenScan(spec));
+  return RowBatchPuller(
+      [table = scan.table(), pull]() -> Result<RowBatch> { return pull(); });
+}
+
 /// The columnar leaf of a filter over `scan` with `pushed` conjuncts: typed
 /// loops over the table's columnar cache when it has one, else the
 /// table's own OpenScan (which applies the pushed predicates and the
@@ -104,17 +120,9 @@ Result<ColumnBatchPuller> OpenScanLeaf(const TableScan& scan,
     return ScanTableColumns(std::move(columns), opts.Normalized().batch_size,
                             std::move(pushed), scan.shared_from_this());
   }
-  ScanSpec spec;
-  spec.batch_size = opts.Normalized().batch_size;
-  spec.predicates = std::move(pushed);
-  spec.access_path = opts.access_path;
-  auto puller = scan.table()->OpenScan(spec);
-  if (!puller.ok()) return puller.status();
-  // The table's puller may capture a raw `this`; the closure pins the table.
-  TablePtr table = scan.table();
-  RowBatchPuller rows = std::move(puller).value();
-  return RowsToColumnsPuller(
-      [table, rows]() -> Result<RowBatch> { return rows(); }, scan.row_type());
+  CALCITE_ASSIGN_OR_RETURN(RowBatchPuller rows,
+                           OpenTableRows(scan, std::move(pushed), opts));
+  return RowsToColumnsPuller(std::move(rows), scan.row_type());
 }
 
 /// Materializes a node's full output through its batch pipeline.
@@ -179,17 +187,7 @@ Result<RowBatchPuller> EnumerableTableScan::ExecuteBatched(
   if (auto parallel = TryExecuteParallel(*this, opts)) {
     return std::move(*parallel);
   }
-  ScanSpec spec;
-  spec.batch_size = opts.Normalized().batch_size;
-  spec.access_path = opts.access_path;
-  auto puller = table_->OpenScan(spec);
-  if (!puller.ok()) return puller;
-  // The table's puller may capture a raw `this`; pin the table here so the
-  // pipeline owns it for as long as it is pulled.
-  TablePtr table = table_;
-  RowBatchPuller pull = std::move(puller).value();
-  return RowBatchPuller(
-      [table, pull]() -> Result<RowBatch> { return pull(); });
+  return OpenTableRows(*this, ScanPredicateList{}, opts);
 }
 
 std::optional<Result<ColumnBatchPuller>>

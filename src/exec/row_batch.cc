@@ -44,30 +44,6 @@ RowBatchPuller SampleBatches(RowBatchPuller puller, double fraction,
   };
 }
 
-RowBatchPuller ProjectBatches(RowBatchPuller puller,
-                              std::vector<int> projection) {
-  auto cols = std::make_shared<std::vector<int>>(std::move(projection));
-  return [puller = std::move(puller), cols]() -> Result<RowBatch> {
-    auto batch = puller();
-    if (!batch.ok()) return batch.status();
-    RowBatch out;
-    out.reserve(batch.value().size());
-    for (Row& row : batch.value()) {
-      Row narrow;
-      narrow.reserve(cols->size());
-      for (int c : *cols) {
-        if (c >= 0 && static_cast<size_t>(c) < row.size()) {
-          narrow.push_back(std::move(row[static_cast<size_t>(c)]));
-        } else {
-          narrow.push_back(Value());  // out-of-range hint → NULL, not UB
-        }
-      }
-      out.push_back(std::move(narrow));
-    }
-    return out;
-  };
-}
-
 }  // namespace
 
 RowBatchPuller ApplyScanSpecDecorators(RowBatchPuller puller,
@@ -75,9 +51,6 @@ RowBatchPuller ApplyScanSpecDecorators(RowBatchPuller puller,
   if (spec.sample_fraction < 1.0) {
     puller = SampleBatches(std::move(puller), spec.sample_fraction,
                            spec.sample_seed);
-  }
-  if (!spec.projection.empty()) {
-    puller = ProjectBatches(std::move(puller), spec.projection);
   }
   return puller;
 }

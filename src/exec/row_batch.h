@@ -146,10 +146,9 @@ using ScanPredicateList = std::vector<ScanPredicate>;
 bool ScanPredicatesMatch(const ScanPredicateList& predicates, const Row& row);
 
 /// Everything a leaf scan needs to know, in one struct — the single
-/// currency of Table::OpenScan. This consolidates the surface that had
-/// accreted one virtual per feature (ScanBatched, ScanBatchedFiltered,
-/// ScanUnitRows...): new per-scan knobs (sampling for ANALYZE, projection
-/// hints, access-path forcing) are fields here, not new virtuals on Table.
+/// currency of Table::OpenScan, the one batched scan virtual. A new
+/// per-scan feature (ANALYZE sampling, access-path forcing, the morsel
+/// executor's unit ranges) is a field here, not a new virtual on Table.
 struct ScanSpec {
   /// Sentinel for unit_end: no unit restriction.
   static constexpr size_t kAllUnits = static_cast<size_t>(-1);
@@ -158,12 +157,8 @@ struct ScanSpec {
   size_t batch_size = kDefaultBatchSize;
 
   /// Pushed predicates, evaluated before rows are materialized. Result rows
-  /// satisfy every predicate (same contract as ScanBatchedFiltered).
+  /// satisfy every predicate.
   ScanPredicateList predicates;
-
-  /// When non-empty, result rows contain exactly these input columns, in
-  /// this order. Applied after the predicates (which index the full row).
-  std::vector<int> projection;
 
   /// Bernoulli row sampling: each predicate-passing row survives with this
   /// probability, drawn from a deterministic RNG seeded by sample_seed —
@@ -177,19 +172,15 @@ struct ScanSpec {
   AccessPath access_path = AccessPath::kAuto;
 
   /// Restricts the scan to units [unit_begin, unit_end) of the table's
-  /// paged scan surface (ScanUnitCount tiling) — the morsel-driven parallel
-  /// executor's per-worker slice. Only meaningful for tables that expose
-  /// scan units; unit_begin past the unit count is an error, mirroring
-  /// ScanUnitRows.
+  /// paged scan surface (Table::ScanUnitCount tiling) — the morsel-driven
+  /// parallel executor's per-worker slice. A unit range on a table without
+  /// scan units is an error, and so is unit_begin past the unit count; an
+  /// empty range at the end (unit_begin == ScanUnitCount()) yields no rows.
   size_t unit_begin = 0;
   size_t unit_end = kAllUnits;
 
   bool has_unit_range() const {
     return unit_begin != 0 || unit_end != kAllUnits;
-  }
-  bool IsPlainScan() const {
-    return predicates.empty() && projection.empty() &&
-           sample_fraction >= 1.0 && !has_unit_range();
   }
 
   /// Clamps batch_size (like ExecOptions), sample_fraction to [0, 1], and
@@ -197,14 +188,13 @@ struct ScanSpec {
   ScanSpec Normalized() const;
 };
 
-/// Applies the row-level decorations of `spec` that are independent of the
-/// table's physical access path — Bernoulli sampling, then projection — on
-/// top of an already predicate-filtered batch stream. Table::OpenScan
-/// implementations route their native pullers through this so every table
-/// honours sampling/projection identically; it preserves the
-/// producers-never-yield-empty-mid-stream contract (a sampled-out chunk
-/// keeps pulling). Pass-through (no wrapper allocated) when the spec asks
-/// for neither.
+/// Applies the row-level decoration of `spec` that is independent of the
+/// table's physical access path — Bernoulli sampling — on top of an already
+/// predicate-filtered batch stream. Table::OpenScan implementations route
+/// their native pullers through this so every table samples identically;
+/// it preserves the producers-never-yield-empty-mid-stream contract (a
+/// sampled-out chunk keeps pulling). Pass-through (no wrapper allocated)
+/// when the spec keeps every row.
 RowBatchPuller ApplyScanSpecDecorators(RowBatchPuller puller,
                                        const ScanSpec& spec);
 

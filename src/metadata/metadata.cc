@@ -44,6 +44,7 @@ void MetadataQuery::ClearCache() {
   unique_cache_.clear();
   row_size_cache_.clear();
   distinct_cache_.clear();
+  pinned_.clear();
 }
 
 double MetadataQuery::RowCount(const RelNodePtr& node) {
@@ -52,7 +53,10 @@ double MetadataQuery::RowCount(const RelNodePtr& node) {
     if (it != row_count_cache_.end()) return it->second;
   }
   double result = ComputeRowCount(node);
-  if (cache_enabled_) row_count_cache_[node.get()] = result;
+  if (cache_enabled_) {
+    row_count_cache_[node.get()] = result;
+    pinned_.push_back(node);
+  }
   return result;
 }
 
@@ -178,7 +182,10 @@ RelOptCost MetadataQuery::NonCumulativeCost(const RelNodePtr& node) {
     if (it != cost_cache_.end()) return it->second;
   }
   RelOptCost result = ComputeNonCumulativeCost(node);
-  if (cache_enabled_) cost_cache_[node.get()] = result;
+  if (cache_enabled_) {
+    cost_cache_[node.get()] = result;
+    pinned_.push_back(node);
+  }
   return result;
 }
 
@@ -262,7 +269,10 @@ RelOptCost MetadataQuery::CumulativeCost(const RelNodePtr& node) {
       result = result + CumulativeCost(input);
     }
   }
-  if (cache_enabled_) cumulative_cost_cache_[node.get()] = result;
+  if (cache_enabled_) {
+    cumulative_cost_cache_[node.get()] = result;
+    pinned_.push_back(node);
+  }
   return result;
 }
 
@@ -277,7 +287,10 @@ double MetadataQuery::Selectivity(const RelNodePtr& node,
     if (it != selectivity_cache_.end()) return it->second;
   }
   double result = ComputeSelectivity(node, predicate);
-  if (cache_enabled_) selectivity_cache_[key] = result;
+  if (cache_enabled_) {
+    selectivity_cache_[key] = result;
+    pinned_.push_back(node);
+  }
   return result;
 }
 
@@ -343,7 +356,10 @@ bool MetadataQuery::AreColumnsUnique(const RelNodePtr& node,
     if (it != unique_cache_.end()) return it->second;
   }
   bool result = ComputeAreColumnsUnique(node, columns);
-  if (cache_enabled_) unique_cache_[key] = result;
+  if (cache_enabled_) {
+    unique_cache_[key] = result;
+    pinned_.push_back(node);
+  }
   return result;
 }
 
@@ -401,7 +417,10 @@ double MetadataQuery::AverageRowSize(const RelNodePtr& node) {
     if (it != row_size_cache_.end()) return it->second;
   }
   double result = ComputeAverageRowSize(node);
-  if (cache_enabled_) row_size_cache_[node.get()] = result;
+  if (cache_enabled_) {
+    row_size_cache_[node.get()] = result;
+    pinned_.push_back(node);
+  }
   return result;
 }
 
@@ -451,7 +470,10 @@ std::optional<double> MetadataQuery::DistinctRowCount(
     if (it != distinct_cache_.end()) return it->second;
   }
   std::optional<double> result = ComputeDistinctRowCount(node, columns);
-  if (cache_enabled_) distinct_cache_[key] = result;
+  if (cache_enabled_) {
+    distinct_cache_[key] = result;
+    pinned_.push_back(node);
+  }
   return result;
 }
 

@@ -79,7 +79,8 @@ class MetadataQuery {
   void SetCacheEnabled(bool enabled);
   bool cache_enabled() const { return cache_enabled_; }
 
-  /// Clears memoized results (call when the plan graph changes identity).
+  /// Clears memoized results and releases the nodes they pinned (call when
+  /// the plan graph changes identity).
   void ClearCache();
 
   /// Estimated output cardinality of `node`.
@@ -143,6 +144,10 @@ class MetadataQuery {
   std::unordered_map<std::string, bool> unique_cache_;
   std::unordered_map<const RelNode*, double> row_size_cache_;
   std::unordered_map<std::string, std::optional<double>> distinct_cache_;
+  /// Every node with a cached answer, kept alive until ClearCache: the
+  /// caches key on node addresses, so a node freed mid-phase would hand
+  /// its answers to the next node allocated at its address.
+  std::vector<RelNodePtr> pinned_;
 };
 
 }  // namespace calcite

@@ -37,47 +37,27 @@ class Table {
   /// path the enumerable convention uses.
   virtual Result<std::vector<Row>> Scan() const = 0;
 
-  /// Batched scan: yields the table contents as RowBatch chunks of at most
-  /// `batch_size` rows. The default materializes through Scan() and
-  /// re-chunks; tables that physically hold rows override it to slice
-  /// batches out lazily without the intermediate full copy. The returned
-  /// puller captures `this` — the caller (the scan operator) must keep the
-  /// table alive while pulling, which EnumerableTableScan does by holding
-  /// its TablePtr in the pipeline closure.
-  virtual Result<RowBatchPuller> ScanBatched(size_t batch_size) const {
-    auto rows = Scan();
-    if (!rows.ok()) return rows.status();
-    return ChunkRows(std::move(rows).value(), batch_size);
-  }
-
-  /// Batched scan with leaf-level predicate pushdown: yields only the rows
-  /// matching every ScanPredicate (simple `column <op> literal` / NULL-test
-  /// shapes — see exec/row_batch.h), chunked like ScanBatched. Tables that
-  /// physically hold rows override this to test each stored row *before*
-  /// copying it into a batch, so filtered-out rows are never materialized;
-  /// the default filters after the generic batched scan, which is
-  /// semantically identical. Same lifetime contract as ScanBatched.
-  virtual Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const {
-    if (predicates.empty()) return ScanBatched(batch_size);
-    auto rows = Scan();
-    if (!rows.ok()) return rows.status();
-    std::vector<Row> kept;
-    for (Row& row : rows.value()) {
-      if (ScanPredicatesMatch(predicates, row)) kept.push_back(std::move(row));
-    }
-    return ChunkRows(std::move(kept), batch_size);
-  }
-
-  /// The unified scan entry point: one ScanSpec (exec/row_batch.h) carries
-  /// predicates, projection hint, ANALYZE sample fraction, access-path hint
-  /// and scan-unit range, so per-scan features do not each grow a virtual.
-  /// The default routes through the narrower virtuals — ScanUnitRows for a
-  /// unit-restricted spec, ScanBatchedFiltered otherwise — then applies the
-  /// access-path-independent decorators (sampling, projection); tables with
-  /// several physical access paths (DiskTable) override it to resolve
-  /// spec.access_path themselves. Same lifetime contract as ScanBatched.
+  /// The scan entry point of the execution engine: one ScanSpec
+  /// (exec/row_batch.h) carries the pushed predicates, the ANALYZE sample
+  /// fraction, the access-path hint and the scan-unit range, so a per-scan
+  /// feature is a ScanSpec field rather than a new virtual. Result rows
+  /// satisfy every pushed predicate and arrive in chunks of at most
+  /// spec.batch_size rows. The default serves a Scan()-only table: it runs
+  /// Scan(), filters the rows by the predicates, chunks them and applies
+  /// sampling; a unit range is an error, since such a table has no scan
+  /// units. Tables that hold their rows (RowStoreTable) or page them from
+  /// disk (DiskTable) override it to filter before rows are copied. The
+  /// returned puller may capture `this`: the caller must keep the table
+  /// alive while pulling, which the scan operators do by holding its
+  /// TablePtr in the pipeline closure.
   virtual Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const;
+
+  /// OpenScan of every row in `batch_size` chunks.
+  Result<RowBatchPuller> ScanBatched(size_t batch_size) const {
+    ScanSpec spec;
+    spec.batch_size = batch_size;
+    return OpenScan(spec);
+  }
 
   /// True if OpenScan(spec) would be served by an index rather than a pass
   /// over the table's rows — the table's own access-path decision, asked
@@ -92,19 +72,13 @@ class Table {
   /// no columnar cache: the table partitions itself into independently
   /// scannable units — for a disk table, a run of heap pages — and the
   /// morsel-driven parallel executor claims whole units as morsels, each
-  /// worker materializing only the unit it claimed (bounded memory instead
-  /// of a whole-table copy before workers start). 0 (the default) means no
-  /// paged surface; without a columnar cache either, scans of the table
-  /// stay serial. Units must tile the table: concatenating
-  /// ScanUnitRows(0..ScanUnitCount()-1) yields exactly Scan()'s rows.
+  /// worker opening a unit-ranged OpenScan over only the units it claimed
+  /// (bounded memory instead of a whole-table copy before workers start).
+  /// 0 (the default) means no paged surface; without a columnar cache
+  /// either, scans of the table stay serial. Units must tile the table:
+  /// unit-ranged OpenScans over [0, 1), [1, 2), ... [n-1, n) together
+  /// yield exactly Scan()'s rows.
   virtual size_t ScanUnitCount() const { return 0; }
-
-  /// Materializes one scan unit. Thread-safe for distinct units (parallel
-  /// workers call it concurrently); only valid for unit < ScanUnitCount().
-  virtual Result<std::vector<Row>> ScanUnitRows(size_t unit) const {
-    (void)unit;
-    return Status::Internal("table has no paged scan surface");
-  }
 
   /// The table's contents decomposed into column-major typed storage
   /// (exec/column_batch.h), or nullptr when the table cannot provide it.
@@ -126,57 +100,74 @@ class Table {
 
 using TablePtr = std::shared_ptr<Table>;
 
-/// A straightforward in-memory table: a row type plus a vector of rows.
-/// Used by tests, examples, and as the backing store of the simulated
-/// adapters.
-class MemTable : public Table {
+/// The row store of the tables that hold their rows in memory (MemTable,
+/// and the CSV, Cassandra and stream adapters): a row type, a vector of
+/// rows and the lazily built columnar decomposition of those rows.
+/// Subclasses add only what differs — statistics, stream appends, parsing.
+class RowStoreTable : public Table {
  public:
-  MemTable(RelDataTypePtr row_type, std::vector<Row> rows)
-      : row_type_(std::move(row_type)), rows_(std::move(rows)) {}
-
   RelDataTypePtr GetRowType(const TypeFactory&) const override {
     return row_type_;
   }
 
-  TableStats GetStatistic() const override {
-    TableStats stat = statistic_;
-    if (!stat.row_count.has_value()) {
-      stat.row_count = static_cast<double>(rows_.size());
-    }
-    return stat;
-  }
+  /// The stored row count; nothing else is known.
+  TableStats GetStatistic() const override;
 
   Result<std::vector<Row>> Scan() const override { return rows_; }
 
-  Result<RowBatchPuller> ScanBatched(size_t batch_size) const override {
-    return SliceRows(rows_, batch_size);
-  }
+  /// Pushed predicates run against the stored rows directly: rows that fail
+  /// are never copied, and the survivors keep their storage order.
+  Result<RowBatchPuller> OpenScan(const ScanSpec& spec) const override;
 
-  /// Pushed predicates run against the stored rows directly; rows that fail
-  /// are never copied.
-  Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const override {
-    return FilterSliceRows(rows_, batch_size, std::move(predicates));
-  }
-
+  /// Built on first use and cached until the rows change; the returned
+  /// shared_ptr keeps a decomposition alive for scans in flight.
   TableColumnsPtr MaterializedColumns(const TypeFactory&) const override {
     return columnar_.Get(rows_, row_type_);
   }
 
-  /// Mutable access for test/bench setup. Conservatively drops the cached
-  /// columnar decomposition — the caller may mutate the rows through the
-  /// returned reference.
-  std::vector<Row>& rows() {
+ protected:
+  RowStoreTable(RelDataTypePtr row_type, std::vector<Row> rows)
+      : row_type_(std::move(row_type)), rows_(std::move(rows)) {}
+
+  const std::vector<Row>& stored_rows() const { return rows_; }
+
+  /// Mutable access to the rows. Conservatively drops the cached columnar
+  /// decomposition — the caller may mutate the rows through the returned
+  /// reference. Not to be called while a scan of the table is in flight.
+  std::vector<Row>& mutable_rows() {
     columnar_.Invalidate();
     return rows_;
   }
-  void set_statistic(TableStats statistic) { statistic_ = std::move(statistic); }
 
  private:
   RelDataTypePtr row_type_;
   std::vector<Row> rows_;
-  TableStats statistic_;
   ColumnarCache columnar_;
+};
+
+/// A straightforward in-memory table: a row type plus a vector of rows.
+/// Used by tests, examples, benchmarks and materialized views.
+class MemTable : public RowStoreTable {
+ public:
+  MemTable(RelDataTypePtr row_type, std::vector<Row> rows)
+      : RowStoreTable(std::move(row_type), std::move(rows)) {}
+
+  /// The statistic set by set_statistic(), with the stored row count
+  /// filled in when it names none.
+  TableStats GetStatistic() const override {
+    TableStats stat = statistic_;
+    if (!stat.row_count.has_value()) {
+      stat.row_count = static_cast<double>(stored_rows().size());
+    }
+    return stat;
+  }
+
+  /// Mutable access for test/bench setup.
+  std::vector<Row>& rows() { return mutable_rows(); }
+  void set_statistic(TableStats statistic) { statistic_ = std::move(statistic); }
+
+ private:
+  TableStats statistic_;
 };
 
 /// A view: a table defined by a SQL query over other tables. The validator

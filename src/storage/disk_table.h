@@ -108,11 +108,6 @@ class DiskTable : public Table {
 
   calcite::Result<std::vector<Row>> Scan() const override;
 
-  calcite::Result<RowBatchPuller> ScanBatched(size_t batch_size) const override;
-
-  calcite::Result<RowBatchPuller> ScanBatchedFiltered(
-      size_t batch_size, ScanPredicateList predicates) const override;
-
   /// The unified scan surface. Resolves spec.access_path (kAuto asks the
   /// cost model) and honours the scan-unit range with a page-range heap
   /// scan, so parallel morsel workers and ANALYZE sampling go through the
@@ -124,8 +119,8 @@ class DiskTable : public Table {
   /// cost-based kAuto choice over the pushed key range.
   bool ScanUsesIndex(const ScanSpec& spec) const override;
 
+  /// One unit per DiskTableOptions::pages_per_run heap pages.
   size_t ScanUnitCount() const override;
-  calcite::Result<std::vector<Row>> ScanUnitRows(size_t unit) const override;
 
   // --------------------------- observability --------------------------
 

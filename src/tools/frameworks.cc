@@ -109,11 +109,6 @@ std::vector<RelOptRulePtr> Connection::PhysicalRules() const {
   for (const RelOptRulePtr& rule : config_.extra_rules) {
     rules.push_back(rule);
   }
-  if (config_.join_reorder) {
-    for (const RelOptRulePtr& rule : JoinReorderRules()) {
-      rules.push_back(rule);
-    }
-  }
   return rules;
 }
 

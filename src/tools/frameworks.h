@@ -37,9 +37,6 @@ class Connection {
   /// the schema and leaves the rest at their defaults.
   struct Config {
     SchemaPtr schema;
-    /// Enable join-order exploration (commute/associate) in the cost-based
-    /// phase.
-    bool join_reorder = false;
     /// Cost-based phase options (fixpoint mode, δ threshold...).
     VolcanoPlanner::Options volcano_options{};
     /// Extra planner rules for the cost-based phase.

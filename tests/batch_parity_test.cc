@@ -601,8 +601,8 @@ TEST_F(BatchParityTest, FilterUnderAggregateSelectionParity) {
 namespace {
 
 /// A table without physical row storage: exercises the default
-/// ScanBatchedFiltered (filter *after* the generic batched scan) as the
-/// reference for the pushdown overrides.
+/// Table::OpenScan (filter *after* the full Scan()) as the reference for
+/// the pushdown overrides.
 class PostFilterTable : public Table {
  public:
   PostFilterTable(RelDataTypePtr row_type, std::vector<Row> rows)

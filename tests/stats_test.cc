@@ -1,7 +1,8 @@
 // Tests of the ANALYZE statistics pipeline (schema/analyze.h), the
 // histogram-backed selectivity estimator (schema/table_stats.h), the
-// stats-backed metadata provider (metadata/table_stats_provider.h), the
-// unified ScanSpec scan surface (Table::OpenScan decorators), and the
+// stats-backed metadata provider (metadata/table_stats_provider.h) and the
+// metadata cache, the unified ScanSpec scan surface (OpenScan predicates
+// and sampling), and the
 // DiskTable side: stats catalog persistence across reopen and cost-based
 // access-path selection under AccessPath::kAuto.
 //
@@ -283,10 +284,10 @@ TEST(StatsAnalyzeTest, SampledAnalyzeScalesEstimates) {
 }
 
 // ---------------------------------------------------------------------------
-// ScanSpec decorators through the default Table::OpenScan
+// ScanSpec predicates and sampling through OpenScan
 // ---------------------------------------------------------------------------
 
-TEST(ScanSpecTest, ProjectionAndPredicates) {
+TEST(ScanSpecTest, Predicates) {
   const int64_t kRows = 1000;
   TypeFactory tf;
   std::vector<Row> rows;
@@ -299,15 +300,13 @@ TEST(ScanSpecTest, ProjectionAndPredicates) {
   ScanSpec spec;
   spec.batch_size = 128;
   spec.predicates = {Pred(ScanPredicate::Kind::kLessThan, 0, Value::Int(100))};
-  spec.projection = {2, 0};
   auto puller = table.OpenScan(spec);
   ASSERT_OK(puller.status());
   std::vector<Row> got = Drain(*puller);
   ASSERT_EQ(got.size(), 100u);
   for (const Row& row : got) {
-    ASSERT_EQ(row.size(), 2u);  // projected down to {cat, id}
-    EXPECT_TRUE(row[0].is_string());
-    EXPECT_LT(row[1].AsInt(), 100);
+    ASSERT_EQ(row.size(), 3u);
+    EXPECT_LT(row[0].AsInt(), 100);
   }
 }
 
@@ -607,8 +606,6 @@ TEST_F(EquiJoinEstimateTest, RowCountIgnoresInputOrder) {
           {JoinType::kLeft, JoinType::kRight},
           {JoinType::kFull, JoinType::kFull}};
       for (const auto& [type, swapped] : types) {
-        // Both joins stay alive: the metadata cache is keyed by node
-        // address, which a freed node would hand to the next one.
         MetadataQuery mq;
         RelNodePtr c = FilteredCustomer();
         RelNodePtr o = FilteredOrders();
@@ -630,6 +627,49 @@ TEST_F(EquiJoinEstimateTest, AnalyzedEstimateIsWithinThreeXOfActual) {
   const double actual = static_cast<double>(actual_);
   EXPECT_GE(estimate, actual / 3) << "actual=" << actual;
   EXPECT_LE(estimate, actual * 3) << "actual=" << actual;
+}
+
+// The metadata cache keys answers on node addresses. A node freed while its
+// answers are cached must not hand them to a different node that the
+// allocator later places at the same address.
+TEST(MetadataCacheTest, FreedNodeDoesNotLendItsAnswersToItsAddress) {
+  TypeFactory tf;
+  std::vector<Row> rows;
+  for (int64_t i = 0; i < 1000; ++i) {
+    rows.push_back({Value::Int(i % 10), Value::Null(), Value::Null()});
+  }
+  auto keyed = std::make_shared<MemTable>(
+      StatsRowType(tf), std::vector<Row>(rows.begin(), rows.begin() + 10));
+  TableStats key_stats;
+  key_stats.unique_keys = {{0}};
+  keyed->set_statistic(key_stats);
+  auto plain = std::make_shared<MemTable>(StatsRowType(tf), std::move(rows));
+
+  MetadataQuery mq;
+  RelNodePtr freed = LogicalTableScan::Create(keyed, {"keyed"},
+                                              Convention::Enumerable(), tf);
+  ASSERT_DOUBLE_EQ(mq.RowCount(freed), 10.0);
+  ASSERT_TRUE(mq.AreColumnsUnique(freed, {0}));
+  const RelNode* freed_address = freed.get();
+  freed.reset();
+
+  // Build scans of the other table until one lands at the freed address
+  // (the bound covers allocators that do not hand it back at once); each
+  // must be answered for itself.
+  std::vector<RelNodePtr> alive;
+  bool reused = false;
+  for (int i = 0; i < 64 && !reused; ++i) {
+    RelNodePtr next = LogicalTableScan::Create(plain, {"plain"},
+                                               Convention::Enumerable(), tf);
+    reused = next.get() == freed_address;
+    MetadataQuery fresh;
+    EXPECT_DOUBLE_EQ(mq.RowCount(next), fresh.RowCount(next))
+        << "node " << i << " reused the freed address: " << reused;
+    EXPECT_EQ(mq.AreColumnsUnique(next, {0}),
+              fresh.AreColumnsUnique(next, {0}))
+        << "node " << i << " reused the freed address: " << reused;
+    alive.push_back(std::move(next));
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -4,8 +4,10 @@
 // std::map oracle, and the DiskTable end-to-end surface — heap scans,
 // index-range routing of pushed predicates, persistence across reopen, the
 // paged scan-unit tiling the parallel executor consumes, and SQL key
-// lookups that must read the same pages at every thread count. Every test
-// works in its own temp directory, removed on teardown.
+// lookups that must read the same pages at every thread count — plus a
+// parity check of the scan surface every row-holding table offers (Scan,
+// OpenScan, MaterializedColumns) across the in-memory tables and DiskTable.
+// Every test works in its own temp directory, removed on teardown.
 
 #include <gtest/gtest.h>
 
@@ -19,6 +21,9 @@
 #include <tuple>
 #include <vector>
 
+#include "adapters/cassandra/cassandra_adapter.h"
+#include "adapters/csv/csv_adapter.h"
+#include "exec/column_batch.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
@@ -27,6 +32,7 @@
 #include "storage/row_codec.h"
 #include "row_oracle.h"
 #include "schema/schema.h"
+#include "stream/stream.h"
 #include "tools/frameworks.h"
 #include "type/rel_data_type.h"
 
@@ -564,7 +570,10 @@ TEST_F(StorageTest, DiskTableIndexScanMatchesHeapScan) {
   ScanPredicate residual;
   residual.kind = ScanPredicate::Kind::kIsNotNull;
   residual.column = 2;
-  auto both = t.ScanBatchedFiltered(512, {lo, hi, residual});
+  ScanSpec both_spec;
+  both_spec.batch_size = 512;
+  both_spec.predicates = {lo, hi, residual};
+  auto both = t.OpenScan(both_spec);
   ASSERT_OK(both.status());
   auto got = Drain(*both);
   EXPECT_TRUE(t.last_scan_used_index());
@@ -593,15 +602,29 @@ TEST_F(StorageTest, DiskTableScanUnitsTileTheTable) {
 
   size_t units = (*table)->ScanUnitCount();
   ASSERT_GT(units, 1u);
+  // One unit-ranged OpenScan per unit: every unit holds rows, and together
+  // they are the table.
+  auto open_units = [&](size_t begin, size_t end) {
+    ScanSpec spec;
+    spec.unit_begin = begin;
+    spec.unit_end = end;
+    return (*table)->OpenScan(spec);
+  };
   std::vector<Row> concatenated;
   for (size_t u = 0; u < units; ++u) {
-    auto unit_rows = (*table)->ScanUnitRows(u);
-    ASSERT_OK(unit_rows.status());
-    EXPECT_FALSE(unit_rows->empty());
-    for (Row& row : *unit_rows) concatenated.push_back(std::move(row));
+    auto unit = open_units(u, u + 1);
+    ASSERT_OK(unit.status());
+    std::vector<Row> unit_rows = Drain(*unit);
+    EXPECT_FALSE(unit_rows.empty());
+    for (Row& row : unit_rows) concatenated.push_back(std::move(row));
   }
   ExpectSameRows(concatenated, rows);
-  EXPECT_FALSE((*table)->ScanUnitRows(units).ok());
+  // The empty range at the end yields nothing; a range past it is an error.
+  auto at_end = open_units(units, units + 1);
+  ASSERT_OK(at_end.status());
+  EXPECT_TRUE(Drain(*at_end).empty());
+  EXPECT_FALSE(open_units(units + 1, units + 2).ok());
+  EXPECT_EQ((*table)->buffer_pool().pinned_frames(), 0u);
 }
 
 TEST_F(StorageTest, DiskTablePersistsAcrossReopen) {
@@ -630,7 +653,10 @@ TEST_F(StorageTest, DiskTablePersistsAcrossReopen) {
   pred.kind = ScanPredicate::Kind::kEquals;
   pred.column = 0;
   pred.literal = Value::Int(1234);
-  auto hit = t.ScanBatchedFiltered(64, {pred});
+  ScanSpec hit_spec;
+  hit_spec.batch_size = 64;
+  hit_spec.predicates = {pred};
+  auto hit = t.OpenScan(hit_spec);
   ASSERT_OK(hit.status());
   auto got = Drain(*hit);
   EXPECT_TRUE(t.last_scan_used_index());
@@ -644,6 +670,162 @@ TEST_F(StorageTest, DiskTablePersistsAcrossReopen) {
 
   auto missing = DiskTable::Open(Path("absent.db"), DiskRowType(tf));
   EXPECT_FALSE(missing.ok());
+}
+
+// ---------------------------------------------------------------------------
+// Scan surface parity across every table that holds or pages its rows
+// ---------------------------------------------------------------------------
+
+/// A table that implements only Scan(): its scans go through the default
+/// Table::OpenScan.
+class ScanOnlyTable final : public Table {
+ public:
+  ScanOnlyTable(RelDataTypePtr row_type, std::vector<Row> rows)
+      : row_type_(std::move(row_type)), rows_(std::move(rows)) {}
+  RelDataTypePtr GetRowType(const TypeFactory&) const override {
+    return row_type_;
+  }
+  Result<std::vector<Row>> Scan() const override { return rows_; }
+
+ private:
+  RelDataTypePtr row_type_;
+  std::vector<Row> rows_;
+};
+
+/// Drains an OpenScan, checking that no batch exceeds `batch_size`.
+std::vector<Row> DrainScan(const Table& table, ScanSpec spec) {
+  auto puller = table.OpenScan(spec);
+  EXPECT_TRUE(puller.ok()) << puller.status().message();
+  if (!puller.ok()) return {};
+  std::vector<Row> out;
+  for (;;) {
+    auto batch = (*puller)();
+    EXPECT_TRUE(batch.ok()) << batch.status().message();
+    if (!batch.ok() || batch->empty()) break;
+    EXPECT_LE(batch->size(), spec.batch_size);
+    for (Row& row : *batch) out.push_back(std::move(row));
+  }
+  return out;
+}
+
+std::string CsvText(const std::vector<Row>& rows) {
+  std::string text = "id:int,name:string,score:double\n";
+  for (const Row& row : rows) {
+    text += std::to_string(row[0].AsInt()) + ",";
+    if (!row[1].IsNull()) text += row[1].AsString();
+    text += ",";
+    if (!row[2].IsNull()) text += std::to_string(row[2].AsDouble());
+    text += "\n";
+  }
+  return text;
+}
+
+TEST_F(StorageTest, EveryTableScansTheSameRowsOnEverySurface) {
+  TypeFactory tf;
+  const RelDataTypePtr row_type = DiskRowType(tf);
+  const std::vector<Row> rows = DiskRows(2500);
+
+  auto csv = CsvTable::FromText(CsvText(rows));
+  ASSERT_OK(csv.status());
+  auto stream = std::make_shared<stream::StreamTable>(row_type, 0);
+  for (const Row& row : rows) ASSERT_OK(stream->Append(row));
+  DiskTableOptions opts;
+  opts.pool_pages = 16;
+  opts.pages_per_run = 3;
+  auto disk = DiskTable::Create(Path("t.db"), row_type, 0, opts);
+  ASSERT_OK(disk.status());
+  ASSERT_OK((*disk)->InsertRows(rows));
+
+  const std::vector<std::pair<std::string, TablePtr>> tables = {
+      {"MemTable", std::make_shared<MemTable>(row_type, rows)},
+      {"CsvTable", *csv},
+      {"StreamTable", stream},
+      {"CassandraTable",
+       std::make_shared<CassandraTable>(
+           row_type, rows, std::vector<int>{1},
+           RelCollation({FieldCollation{0, Direction::kDescending}}))},
+      {"DiskTable", *disk},
+      {"ScanOnlyTable", std::make_shared<ScanOnlyTable>(row_type, rows)},
+  };
+
+  auto pred = [](ScanPredicate::Kind kind, int column, Value literal) {
+    ScanPredicate p;
+    p.kind = kind;
+    p.column = column;
+    p.literal = std::move(literal);
+    return p;
+  };
+  // A key range (DiskTable's index path) and non-key conjuncts (its heap
+  // path), each with a NULL test.
+  const std::vector<ScanPredicateList> predicate_lists = {
+      {pred(ScanPredicate::Kind::kGreaterThanOrEqual, 0, Value::Int(300)),
+       pred(ScanPredicate::Kind::kLessThan, 0, Value::Int(2100)),
+       pred(ScanPredicate::Kind::kIsNotNull, 1, Value::Null())},
+      {pred(ScanPredicate::Kind::kGreaterThan, 2, Value::Double(2.0)),
+       pred(ScanPredicate::Kind::kNotEquals, 1, Value::String("n7"))},
+  };
+
+  for (const auto& [name, table] : tables) {
+    SCOPED_TRACE(name);
+    auto scanned = table->Scan();
+    ASSERT_OK(scanned.status());
+    ExpectSameRows(*scanned, rows);
+
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE("batch_size " + std::to_string(batch_size));
+      ScanSpec spec;
+      spec.batch_size = batch_size;
+      ExpectSameRows(DrainScan(*table, spec), rows);
+
+      for (const ScanPredicateList& predicates : predicate_lists) {
+        std::vector<Row> expected;
+        for (const Row& row : rows) {
+          if (ScanPredicatesMatch(predicates, row)) expected.push_back(row);
+        }
+        ASSERT_FALSE(expected.empty());
+        spec.predicates = predicates;
+        ExpectSameRows(DrainScan(*table, spec), expected);
+      }
+    }
+
+    if (TableColumnsPtr columns = table->MaterializedColumns(tf)) {
+      RowBatch boxed;
+      ColumnsToRows(SliceTableColumns(columns, 0, columns->num_rows, nullptr),
+                    &boxed);
+      ExpectSameRows(boxed, rows);
+    } else {
+      EXPECT_TRUE(name == "DiskTable" || name == "ScanOnlyTable");
+    }
+
+    ScanSpec unit_range;
+    unit_range.unit_begin = 0;
+    unit_range.unit_end = 1;
+    if (table->ScanUnitCount() == 0) {
+      EXPECT_FALSE(table->OpenScan(unit_range).ok());
+    } else {
+      unit_range.unit_end = table->ScanUnitCount();
+      ExpectSameRows(DrainScan(*table, unit_range), rows);
+    }
+  }
+  EXPECT_EQ((*disk)->buffer_pool().pinned_frames(), 0u);
+
+  // An event appended after a columnar scan reaches the next scan of
+  // either kind, while the earlier decomposition stays a valid snapshot.
+  TableColumnsPtr before = stream->MaterializedColumns(tf);
+  ASSERT_NE(before, nullptr);
+  ASSERT_OK(stream->Append(DiskRow(2500)));
+  TableColumnsPtr after = stream->MaterializedColumns(tf);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(before->num_rows, rows.size());
+  EXPECT_EQ(after->num_rows, rows.size() + 1);
+  std::vector<Row> appended = rows;
+  appended.push_back(DiskRow(2500));
+  RowBatch boxed;
+  ColumnsToRows(SliceTableColumns(after, 0, after->num_rows, nullptr), &boxed);
+  ExpectSameRows(boxed, appended);
+  ExpectSameRows(DrainScan(*stream, ScanSpec{}), appended);
+  // The log stays in rowtime order.
+  EXPECT_FALSE(stream->Append(DiskRow(5)).ok());
 }
 
 // ---------------------------------------------------------------------------
